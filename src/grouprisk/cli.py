@@ -106,7 +106,6 @@ def _train_once(args, dataset):
                          epochs=args.epochs,
                          step_size=args.lr,
                          step_decay=args.decay,
-                         seed=args.seed,
                          partition_mode=_partition_mode(args))
     if args.train_frac < 1.0:
         # split randomness derives from the run seed, offset so the draw

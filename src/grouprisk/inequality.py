@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (ParameterError, UndefinedMetricError,
                      UnsupportedAxiomError)
-from .riskvar import (AXIOM_TOL, DiscreteRandomVariable, FalsificationReport,
-                      cvar_deviation, expectation, sd_deviation)
+from .riskvar import (DiscreteRandomVariable, FalsificationReport, _falsify,
+                      _tol, cvar_deviation, sd_deviation)
 
 INEQUALITY_AXIOMS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I11")
 
@@ -213,10 +213,6 @@ def pigou_dalton_pair(rng: np.random.Generator, n: int,
 # Axiom falsification
 
 
-def _itol(*xs) -> float:
-    return AXIOM_TOL * max(1.0, *(abs(x) for x in xs))
-
-
 def _sample_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.1, 10.0, n)
 
@@ -226,7 +222,7 @@ def _check_i1(index, rng):
     x = _sample_vector(rng, n)
     perm = rng.permutation(n)
     a, b = index(x[perm]), index(x)
-    if abs(a - b) > _itol(a, b):
+    if abs(a - b) > _tol(a, b):
         return {"x": x.tolist(), "permutation": perm.tolist(), "lhs": a, "rhs": b}
     return None
 
@@ -236,7 +232,7 @@ def _check_i2(index, rng):
     x = _sample_vector(rng, n)
     lam = float(rng.uniform(0.1, 10.0))
     a, b = index(lam * x), index(x)
-    if abs(a - b) > _itol(a, b):
+    if abs(a - b) > _tol(a, b):
         return {"x": x.tolist(), "lambda": lam, "lhs": a, "rhs": b}
     return None
 
@@ -246,7 +242,7 @@ def _check_i3(index, rng):
     x, y = pigou_dalton_pair(rng, n)
     a, b = index(x), index(y)
     # strict Schur-convexity: a genuine transfer must strictly lower the index
-    if a >= b - _itol(a, b):
+    if a >= b - _tol(a, b):
         return {"x": x.tolist(), "y": y.tolist(), "lhs": a, "rhs": b}
     return None
 
@@ -256,7 +252,7 @@ def _check_i4(index, rng):
     x = _sample_vector(rng, n)
     r = int(rng.choice(_REPLICATION_FACTORS))
     a, b = index(np.tile(x, r)), index(x)
-    if abs(a - b) > _itol(a, b):
+    if abs(a - b) > _tol(a, b):
         return {"x": x.tolist(), "r": r, "lhs": a, "rhs": b}
     return None
 
@@ -267,13 +263,13 @@ def _check_i5(index, rng):
     while float(np.ptp(x)) < 0.5:
         x = _sample_vector(rng, n)
     a = index(x)
-    if a < -_itol(a):
+    if a < -_tol(a):
         return {"x": x.tolist(), "value": a, "reason": "negative index"}
-    if a <= _itol(a):
+    if a <= _tol(a):
         return {"x": x.tolist(), "value": a, "reason": "zero on non-constant"}
     c = float(rng.uniform(0.1, 10.0))
     b = index(np.full(n, c))
-    if abs(b) > _itol(b):
+    if abs(b) > _tol(b):
         return {"x": [c] * n, "value": b, "reason": "nonzero on constant"}
     return None
 
@@ -283,7 +279,7 @@ def _check_i6(index, rng):
     x = _sample_vector(rng, n)
     c = float(rng.uniform(0.1, 10.0))
     a, b = index(x + c), index(x)
-    if a > b + _itol(a, b):
+    if a > b + _tol(a, b):
         return {"x": x.tolist(), "c": c, "lhs": a, "rhs": b}
     return None
 
@@ -307,7 +303,7 @@ def _check_i11(index, rng):
     t = float(rng.uniform(0.1, 0.9))
     lhs = index((1.0 - t) * x + t * y)
     rhs = (1.0 - t) * index(x) + t * index(y)
-    if lhs > rhs + _itol(lhs, rhs):
+    if lhs > rhs + _tol(lhs, rhs):
         return {"x": x.tolist(), "y": y.tolist(), "t": t, "lhs": lhs, "rhs": rhs}
     return None
 
@@ -339,14 +335,5 @@ def check_inequality_axiom(index: Callable[[np.ndarray], float], axiom: str,
             f"axiom {ax} is structural (existence-style) and not checkable here")
     if ax not in _INEQUALITY_CHECKS:
         raise ParameterError(f"unknown axiom tag {axiom!r}")
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
     name = getattr(index, "name", getattr(index, "__name__", "index"))
-    rng = np.random.default_rng(seed)
-    checker = _INEQUALITY_CHECKS[ax]
-    for trial in range(trials):
-        ce = checker(index, rng)
-        if ce is not None:
-            ce["trial"] = trial
-            return FalsificationReport(ax, str(name), trials, False, ce, seed)
-    return FalsificationReport(ax, str(name), trials, True, None, seed)
+    return _falsify(_INEQUALITY_CHECKS[ax], index, ax, str(name), trials, seed)

@@ -1,13 +1,18 @@
 """Subgradient training of linear models under subgroup-risk aggregators.
 
-The trainer minimises aggregate(subgroup risks of f) over (weights,
-intercept) by plain subgradient descent from zero initialisation, with an
-L2 term on the weights.  For the cvar aggregator the scalar threshold rho
-of the variational form is not descended: it is reset each epoch to the
-exact minimiser for the current model, the lower alpha-quantile of the
-subgroup risks.  The top-k aggregator is trained as cvar over the
-per-instance partition at alpha = 1 - k/m, which makes the two objectives
-and their optimisation traces coincide.
+The trainer minimises the aggregate of the subgroup risks plus an L2 term
+on the weights over (weights, intercept) by plain subgradient descent from
+zero initialisation.  Each pass scores the current iterate once: its
+scores, losses and group risks give the objective through
+``AggregatorSpec.value`` and the descent direction through
+``AggregatorSpec.weights``, one coefficient per group on that group's mean
+loss gradient.  For the cvar aggregator the scalar threshold rho of the
+variational form is not descended: the weights are taken at the exact
+minimiser for the current model, the lower alpha-quantile of the subgroup
+risks.  The top-k aggregator always trains on the per-instance partition,
+where it is cvar at alpha = 1 - k/m (the plain mean at k = m), so its
+objectives and optimisation traces coincide with per-instance cvar
+training at that alpha.
 
 At the exact rho the quantile atom itself is active with the fractional
 tail weight ((1 - alpha) - P[risk > rho]) / P[risk = rho], so the descent
@@ -26,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .riskvar import (AggregatorSpec, DiscreteRandomVariable, _cvar_value,
-                      _quantile_value, expectation, sd_deviation)
+from .riskvar import AggregatorSpec, DiscreteRandomVariable
 from .subgroup import (Dataset, GroupPartition, LinearModel, LossSpec,
                        group_risk_vector, partition)
 
@@ -49,7 +53,6 @@ class TrainConfig:
     epochs: int = 200
     step_size: float = 0.5
     step_decay: str = "inv_sqrt"
-    seed: int = 0
     partition_mode: str = "categorical"
 
     def __post_init__(self):
@@ -120,132 +123,55 @@ def subgradient(model: LinearModel, rho: float, dataset: Dataset,
     return g_w, g_b, g_rho
 
 
-def _trainer_aggregator(config: TrainConfig, m: int):
-    """Normalise the aggregator for the descent loop.
-
-    top_k becomes the cvar path over the per-instance partition at
-    alpha = 1 - k/m.  The degenerate k = m (the full tail, alpha = 0) is
-    the plain per-instance expectation and is routed there so the two
-    share every arithmetic step.
-    """
-    agg = config.aggregator
-    mode = config.partition_mode
-    if agg.kind == "top_k":
-        if agg.k > m:
-            raise ParameterError(f"top_k with k={agg.k} exceeds m={m} rows")
-        if agg.k == m:
-            return "expectation", None, None, "per_instance"
-        return "cvar", 1.0 - agg.k / m, None, "per_instance"
-    if agg.kind == "cvar":
-        return "cvar", agg.alpha, None, mode
-    if agg.kind == "sd_penalty":
-        return "sd_penalty", None, agg.lam, mode
-    return agg.kind, None, None, mode
-
-
-def _objective_value(kind: str, risks: np.ndarray, probs: np.ndarray,
-                     alpha, lam) -> float:
-    if kind == "cvar":
-        return _cvar_value(risks, probs, alpha)
-    if kind == "expectation":
-        return float(np.dot(probs, risks))
-    if kind == "max":
-        # groups assigned zero weight do not count
-        return float(risks[probs > 0.0].max())
-    # sd_penalty, computed exactly as the aggregate() definition
-    Z = DiscreteRandomVariable(risks, probs)
-    return expectation(Z) + lam * sd_deviation(Z)
-
-
-def _group_coefficients(kind: str, risks: np.ndarray, probs: np.ndarray,
-                        alpha, lam):
-    """Per-group weights c_s so the descent direction is sum_s c_s grad L_s.
-
-    Returns (coefficients, rho or None).
-    """
-    if kind == "expectation":
-        return probs, None
-    if kind == "max":
-        mask = probs > 0.0
-        top = mask & (risks >= risks[mask].max() - 1e-12)
-        return top / float(top.sum()), None
-    if kind == "sd_penalty":
-        mean = float(np.dot(probs, risks))
-        centred = risks - mean
-        sigma = float(np.sqrt(np.dot(probs, centred * centred)))
-        if sigma > 0.0:
-            return probs * (1.0 + lam * centred / sigma), None
-        return probs.copy(), None
-    # cvar: exact rho update, fractional weight on the quantile atoms so the
-    # tail mass is exactly 1 - alpha
-    rho = _quantile_value(risks, probs, alpha)
-    above = risks > rho
-    at = risks == rho
-    p_above = float(probs[above].sum())
-    p_at = float(probs[at].sum())
-    theta = min(max(((1.0 - alpha) - p_above) / p_at, 0.0), 1.0)
-    weights = np.where(above, 1.0, 0.0) + np.where(at, theta, 0.0)
-    return probs * weights / (1.0 - alpha), rho
-
-
 def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     """Run subgradient descent and return the best iterate by objective.
 
     Deterministic: zero initialisation, exact rho updates, fixed reduction
-    orders; identical config, dataset, and seed reproduce the report
-    bit for bit.
+    orders; identical config and dataset reproduce the report bit for bit.
     """
-    kind, alpha, lam, mode = _trainer_aggregator(config, dataset.m)
-    part = partition(dataset, mode)
-    X, y = dataset.features, dataset.labels
+    spec = config.aggregator
+    part = partition(dataset, "per_instance" if spec.kind == "top_k"
+                     else config.partition_mode)
+    X, y, loss = dataset.features, dataset.labels, config.loss
     w = np.zeros(dataset.d)
     b = 0.0
-
-    def objective(w_, b_):
-        risks = group_risk_vector(LinearModel(w_, b_), dataset, part, config.loss)
-        return (_objective_value(kind, risks, part.probs, alpha, lam)
-                + _l2_term(w_, config.l2_reg))
-
-    best_obj = objective(w, b)
-    initial_obj = best_obj
-    best_w, best_b, best_epoch = w.copy(), b, 0
-    trace = np.empty(config.epochs)
-    for epoch in range(config.epochs):
+    # objectives[i] belongs to iterate i; pass i records it, then steps
+    objectives = np.empty(config.epochs + 1)
+    best_epoch = 0
+    for epoch in range(config.epochs + 1):
         scores = X @ w + b
-        losses = config.loss.values(y, scores)
-        risks = np.bincount(part.group_ids, weights=losses,
+        risks = np.bincount(part.group_ids, weights=loss.values(y, scores),
                             minlength=part.n) / part.sizes
-        coef_group, _ = _group_coefficients(kind, risks, part.probs, alpha, lam)
-        coef = (coef_group / part.sizes)[part.group_ids] * config.loss.grads(y,
-                                                                             scores)
+        obj = spec.value(risks, part.probs) + _l2_term(w, config.l2_reg)
+        if not np.isfinite(obj):
+            raise NumericalError(
+                f"objective became non-finite at epoch {epoch}",
+                trace=objectives[1:epoch].copy())
+        objectives[epoch] = obj
+        if epoch == 0 or obj < objectives[best_epoch]:
+            best_epoch, best_w, best_b, best_risks = epoch, w, b, risks
+        if epoch == config.epochs:
+            break
+        coef_group, _ = spec.weights(risks, part.probs)
+        coef = (coef_group / part.sizes)[part.group_ids] * loss.grads(y, scores)
         g_w = X.T @ coef + config.l2_reg * w
-        g_b = float(coef.sum())
         step = config.step_size
         if config.step_decay == "inv_sqrt":
             step /= np.sqrt(epoch + 1.0)
         w = w - step * g_w
-        b = b - step * g_b
-        obj = objective(w, b)
-        if not np.isfinite(obj):
-            raise NumericalError(
-                f"objective became non-finite at epoch {epoch + 1}",
-                trace=trace[:epoch].copy())
-        trace[epoch] = obj
-        if obj < best_obj:
-            best_obj, best_w, best_b, best_epoch = obj, w.copy(), b, epoch + 1
+        b = b - step * float(coef.sum())
 
-    model = LinearModel(best_w, best_b)
-    final_risks = group_risk_vector(model, dataset, part, config.loss)
-    rho = _quantile_value(final_risks, part.probs, alpha) if kind == "cvar" else None
+    _, rho = spec.weights(best_risks, part.probs)
     metrics = {
-        "initial_objective": initial_obj,
-        "best_objective": best_obj,
+        "initial_objective": float(objectives[0]),
+        "best_objective": float(objectives[best_epoch]),
         "best_epoch": float(best_epoch),
-        "final_objective": float(trace[-1]),
-        "objective_convex": 0.0 if kind == "sd_penalty" else 1.0,
+        "final_objective": float(objectives[-1]),
+        "objective_convex": 0.0 if spec.kind == "sd_penalty" else 1.0,
     }
-    return TrainReport(model=model, rho=rho, objective_trace=trace,
-                       final_subgroup_risks=DiscreteRandomVariable(final_risks,
+    return TrainReport(model=LinearModel(best_w, best_b), rho=rho,
+                       objective_trace=objectives[1:],
+                       final_subgroup_risks=DiscreteRandomVariable(best_risks,
                                                                    part.probs),
                        metrics=metrics)
 

@@ -17,7 +17,14 @@ minimum; no interpolation or tail-count formula is involved.
 
 Aggregators combine a variable into a scalar risk: plain expectation,
 cvar, expectation plus a standard-deviation penalty, the mean of the k
-largest equal-probability atoms, or the maximum.  ``check_axiom`` is a
+largest equal-probability atoms, or the maximum.  ``AggregatorSpec`` holds
+that choice behind two methods on parallel (values, probs) arrays:
+``value`` returns the risk, ignoring zero-probability atoms, and
+``weights`` one weight per atom (the risk-envelope element of the dual
+view) whose dot product with the values reproduces the risk, so the
+weights are a subgradient in the atom values.  top_k is cvar at level
+1 - k/n over its n equal-probability atoms, and the plain expectation at
+k = n.  ``check_axiom`` is a
 seeded falsifier that searches for counterexamples to the risk-measure
 axioms (convexity, positive homogeneity, monotonicity, continuity along
 segments, translation, aversity, law invariance, behaviour on constants,
@@ -152,18 +159,81 @@ class AggregatorSpec:
             return f"top_k(k={self.k})"
         return self.kind
 
+    def _tail_level(self, p: np.ndarray) -> Optional[float]:
+        """cvar level over the positive probabilities ``p``.
 
-def _merged_support(Z: DiscreteRandomVariable):
-    """Positive-probability atoms, duplicates merged, values ascending."""
-    v, p = Z.support()
-    uv, inverse = np.unique(v, return_inverse=True)
-    up = np.bincount(inverse, weights=p, minlength=uv.size)
-    return uv, up
+        top_k is cvar at 1 - k/n over its n atoms, which must carry equal
+        probabilities; None stands for k = n, the plain expectation.
+        """
+        if self.kind == "cvar":
+            return self.alpha
+        if float(p.max() - p.min()) > PROB_TOL:
+            raise ParameterError("top_k requires equal-probability atoms")
+        if self.k > p.size:
+            raise ParameterError(f"top_k with k={self.k} exceeds {p.size} atoms")
+        return None if self.k == p.size else 1.0 - self.k / p.size
+
+    def value(self, values: np.ndarray, probs: np.ndarray) -> float:
+        """Risk of the atoms (values, probs); zero-probability atoms do not count."""
+        if self.kind == "expectation":
+            return float(np.dot(values, probs))
+        if self.kind == "sd_penalty":
+            mean, _, sd = _moments(values, probs)
+            return mean + self.lam * sd
+        mask = probs > 0.0
+        v, p = values[mask], probs[mask]
+        if self.kind == "max":
+            return float(v.max())
+        alpha = self._tail_level(p)
+        if alpha is None:
+            return float(np.dot(v, p))
+        return _cvar_value(v, p, alpha)
+
+    def weights(self, values: np.ndarray, probs: np.ndarray):
+        """Per-atom weights c with ``value`` = dot(c, values), and rho or None.
+
+        cvar and top_k return the risk envelope at the exact threshold rho,
+        the lower quantile of the positive-probability atoms: p/(1 - alpha)
+        above rho and the fractional share on the atoms at rho that brings
+        the tail mass to 1 - alpha.  max spreads the weight evenly over the
+        atoms within 1e-12 of the largest; sd_penalty returns
+        p(1 + lam (v - mean)/sd), or p on a constant variable.
+        """
+        if self.kind == "expectation":
+            return probs, None
+        if self.kind == "sd_penalty":
+            _, centred, sd = _moments(values, probs)
+            if sd > 0.0:
+                return probs * (1.0 + self.lam * centred / sd), None
+            return probs.copy(), None
+        mask = probs > 0.0
+        v, p = values[mask], probs[mask]
+        if self.kind == "max":
+            top = mask & (values >= v.max() - 1e-12)
+            return top / float(top.sum()), None
+        alpha = self._tail_level(p)
+        if alpha is None:
+            return probs, None
+        rho = _quantile_value(v, p, alpha)
+        above = values > rho
+        at = values == rho
+        p_above = float(probs[above].sum())
+        p_at = float(probs[at].sum())
+        theta = min(max(((1.0 - alpha) - p_above) / p_at, 0.0), 1.0)
+        tail = np.where(above, 1.0, 0.0) + np.where(at, theta, 0.0)
+        return probs * tail / (1.0 - alpha), rho
 
 
 def expectation(Z: DiscreteRandomVariable) -> float:
     """Probability-weighted mean of the atom values."""
     return float(np.dot(Z.values, Z.probs))
+
+
+def _moments(values: np.ndarray, probs: np.ndarray):
+    """Mean, centred values and standard deviation of the atoms."""
+    mean = float(np.dot(values, probs))
+    centred = values - mean
+    return mean, centred, float(np.sqrt(np.dot(probs, centred * centred)))
 
 
 def _check_alpha(alpha: float):
@@ -174,8 +244,9 @@ def _check_alpha(alpha: float):
 def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
     """Lower quantile inf{z : F(z) >= alpha} over merged, sorted atoms.
 
-    Accepts alpha in [0, 1) so the trainer's limit cases stay in one code
-    path; the public ``quantile`` enforces the open interval.
+    Callers pass positive-probability atoms only: with alpha within
+    ``PROB_TOL`` of 0 a zero-probability atom below the support would
+    otherwise be returned.
     """
     uv, inverse = np.unique(values, return_inverse=True)
     up = np.bincount(inverse, weights=probs, minlength=uv.size)
@@ -236,35 +307,12 @@ def sd_deviation(Z: DiscreteRandomVariable) -> float:
     which is the same quantity without the catastrophic cancellation the
     raw-moment difference suffers on near-constant variables.
     """
-    centred = Z.values - expectation(Z)
-    return float(np.sqrt(np.dot(Z.probs, centred * centred)))
+    return _moments(Z.values, Z.probs)[2]
 
 
 def aggregate(Z: DiscreteRandomVariable, spec: AggregatorSpec) -> float:
-    """Apply an aggregator to a subgroup-risk variable.
-
-    top_k requires equal probabilities on the positive-probability atoms
-    and k at most the atom count; it averages the k largest values without
-    merging duplicates.
-    """
-    if spec.kind == "expectation":
-        return expectation(Z)
-    if spec.kind == "cvar":
-        return cvar(Z, spec.alpha)
-    if spec.kind == "sd_penalty":
-        return expectation(Z) + spec.lam * sd_deviation(Z)
-    if spec.kind == "max":
-        v, _ = Z.support()
-        return float(v.max())
-    # top_k
-    v, p = Z.support()
-    if v.size == 0:
-        raise ParameterError("top_k needs at least one positive-probability atom")
-    if float(p.max() - p.min()) > PROB_TOL:
-        raise ParameterError("top_k requires equal-probability atoms")
-    if spec.k > v.size:
-        raise ParameterError(f"top_k with k={spec.k} exceeds {v.size} atoms")
-    return float(np.sort(v)[-spec.k:].mean())
+    """Apply an aggregator to a subgroup-risk variable (``spec.value``)."""
+    return spec.value(Z.values, Z.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +525,25 @@ _FAIRNESS_CHECKS: dict[str, Callable] = {
 }
 
 
+def _falsify(checker: Callable, subject, axiom: str, name: str, trials: int,
+             seed: int) -> FalsificationReport:
+    """Trial loop shared by the risk and the inequality axiom falsifiers.
+
+    Calls ``checker(subject, rng)`` up to ``trials`` times on one rng
+    seeded with ``seed``; the first counterexample, tagged with its trial
+    index, fails the report.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        ce = checker(subject, rng)
+        if ce is not None:
+            ce["trial"] = trial
+            return FalsificationReport(axiom, name, trials, False, ce, seed)
+    return FalsificationReport(axiom, name, trials, True, None, seed)
+
+
 def check_axiom(measure: AggregatorSpec, axiom: str, trials: int,
                 rng_seed: int = 0) -> FalsificationReport:
     """Search for a counterexample to one axiom over sampled variable pairs.
@@ -489,14 +556,5 @@ def check_axiom(measure: AggregatorSpec, axiom: str, trials: int,
     ax = str(axiom).upper()
     if ax not in _FAIRNESS_CHECKS:
         raise ParameterError(f"unknown axiom tag {axiom!r}")
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    checker = _FAIRNESS_CHECKS[ax]
-    for trial in range(trials):
-        ce = checker(measure, rng)
-        if ce is not None:
-            ce["trial"] = trial
-            return FalsificationReport(ax, measure.describe(), trials, False, ce,
-                                       rng_seed)
-    return FalsificationReport(ax, measure.describe(), trials, True, None, rng_seed)
+    return _falsify(_FAIRNESS_CHECKS[ax], measure, ax, measure.describe(),
+                    trials, rng_seed)

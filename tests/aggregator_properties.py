@@ -1,0 +1,128 @@
+"""Hypothesis properties of ``AggregatorSpec.value`` and ``.weights``.
+
+Atoms are drawn with zero probabilities, tied values and cvar levels
+within ``PROB_TOL`` of 0 left in.  ``test_aggregator_properties`` runs
+each property; see there why this module is imported late.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from grouprisk import AggregatorSpec, DiscreteRandomVariable, aggregate
+from grouprisk.riskvar import PROB_TOL
+
+VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-2.5, 0.0, 1.0]))
+ALPHAS = st.one_of(st.floats(0.0, 1e-11, exclude_min=True),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def atoms(draw, equal=False):
+    """(values, probs) with at least one positive-probability atom.
+
+    ``equal`` puts the same probability on every positive atom, as top_k
+    requires.
+    """
+    n = draw(st.integers(1, 8))
+    values = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    if equal:
+        mass = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                      min_size=n, max_size=n)))
+    else:
+        mass = np.array(draw(st.lists(st.one_of(st.just(0.0),
+                                                st.floats(1e-3, 1.0)),
+                                      min_size=n, max_size=n)))
+    mass[draw(st.integers(0, n - 1))] = 1.0
+    return values, mass / mass.sum()
+
+
+@st.composite
+def specs_with_atoms(draw):
+    kind = draw(st.sampled_from(["expectation", "cvar", "sd_penalty", "top_k",
+                                 "max"]))
+    values, probs = draw(atoms(equal=kind == "top_k"))
+    if kind == "cvar":
+        spec = AggregatorSpec.cvar(draw(ALPHAS))
+    elif kind == "sd_penalty":
+        spec = AggregatorSpec.sd_penalty(draw(st.floats(0.0, 5.0)))
+    elif kind == "top_k":
+        spec = AggregatorSpec.top_k(draw(st.integers(1, int((probs > 0).sum()))))
+    else:
+        spec = AggregatorSpec(kind)
+    return spec, values, probs
+
+
+def _tail_mass(spec, probs):
+    """1 - alpha of a cvar or top_k spec, None for the other kinds."""
+    if spec.kind == "cvar":
+        return 1.0 - spec.alpha
+    if spec.kind == "top_k":
+        return spec.k / int((probs > 0).sum())
+    return None
+
+
+def _euler_scale(spec, values, probs):
+    """Magnitude the Euler residual is measured against.
+
+    Tail aggregators divide by the tail mass 1 - alpha; sd_penalty's
+    weights divide by the standard deviation, which amplifies the rounding
+    of the centred values by max|v| / sd.
+    """
+    scale = max(1.0, float(np.abs(values).max()))
+    tail = _tail_mass(spec, probs)
+    if tail is not None:
+        return scale / tail
+    if spec.kind == "sd_penalty":
+        centred = values - float(np.dot(values, probs))
+        sd = float(np.sqrt(np.dot(probs, centred * centred)))
+        if sd > 0.0:
+            return scale * (1.0 + spec.lam * scale / sd)
+    return scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs_with_atoms())
+def value_is_weights_dot_values(case):
+    # Euler's identity for positively homogeneous measures
+    spec, values, probs = case
+    weights, _ = spec.weights(values, probs)
+    residual = abs(spec.value(values, probs) - float(np.dot(weights, values)))
+    assert residual <= 1e-12 * _euler_scale(spec, values, probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms(), ALPHAS)
+def cvar_weights_form_a_risk_envelope(case, alpha):
+    values, probs = case
+    weights, rho = AggregatorSpec.cvar(alpha).weights(values, probs)
+    # the quantile search's PROB_TOL slack may leave the tail that much
+    # heavier than 1 - alpha
+    assert abs(float(weights.sum()) - 1.0) <= 2.0 * PROB_TOL / (1.0 - alpha)
+    assert np.all(weights >= 0.0)
+    assert np.all(weights <= probs / (1.0 - alpha))
+    assert rho in values[probs > 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms(equal=True), st.data())
+def top_k_is_cvar_at_one_minus_k_over_n(case, data):
+    values, probs = case
+    n = int((probs > 0.0).sum())
+    k = data.draw(st.integers(1, n))
+    top_k = AggregatorSpec.top_k(k)
+    if k == n:
+        assert top_k.value(values, probs) == AggregatorSpec.expectation().value(
+            values, probs)
+    else:
+        cvar = AggregatorSpec.cvar(1.0 - k / n)
+        assert top_k.value(values, probs) == cvar.value(values, probs)
+        np.testing.assert_array_equal(top_k.weights(values, probs)[0],
+                                      cvar.weights(values, probs)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_with_atoms())
+def aggregate_is_spec_value(case):
+    spec, values, probs = case
+    Z = DiscreteRandomVariable(values, probs)
+    assert aggregate(Z, spec) == spec.value(values, probs)

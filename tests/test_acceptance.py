@@ -148,8 +148,7 @@ def test_criterion_5_top_k_equivalence():
 
     ds = generate_synth(SynthSpec(m=60, seed=5))
     k = 9
-    base = dict(loss=LossSpec("squared_hinge"), epochs=40, step_size=0.4,
-                seed=7)
+    base = dict(loss=LossSpec("squared_hinge"), epochs=40, step_size=0.4)
     rep_topk = train(TrainConfig(aggregator=AggregatorSpec.top_k(k), **base), ds)
     rep_cvar = train(TrainConfig(aggregator=AggregatorSpec.cvar(1.0 - k / 60),
                                  partition_mode="per_instance", **base), ds)
@@ -244,7 +243,7 @@ def test_criterion_8_tradeoff_trend():
         for j, alpha in enumerate(alphas):
             cfg = TrainConfig(aggregator=AggregatorSpec.cvar(alpha),
                               loss=LossSpec("squared_hinge"), epochs=150,
-                              step_size=0.5, seed=seed)
+                              step_size=0.5)
             rep = train(cfg, ds)
             gaps[seed, j] = subgroup_loss_gap(rep.final_subgroup_risks)
             risks[seed, j] = expectation(rep.final_subgroup_risks)

@@ -20,7 +20,7 @@ def two_group_dataset(rng, m=60):
 
 def config(agg, loss="squared_hinge", **kw):
     defaults = dict(l2_reg=1e-4, epochs=40, step_size=0.3,
-                    step_decay="inv_sqrt", seed=0, partition_mode="categorical")
+                    step_decay="inv_sqrt", partition_mode="categorical")
     defaults.update(kw)
     return TrainConfig(aggregator=agg, loss=LossSpec(loss), **defaults)
 
@@ -236,6 +236,17 @@ class TestTrain:
         cfg = config(AggregatorSpec.expectation(), step_size=1e150,
                      step_decay="constant", epochs=8)
         with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            train(cfg, ds)
+        assert err.value.trace is not None
+
+    def test_weight_overflow_is_numerical_error(self):
+        # the step overflows the weights themselves, not only the scores
+        ds = generate_synth(SynthSpec(m=400, seed=0))
+        ds = Dataset(ds.features * 1e10, ds.labels, ds.sensitive)
+        cfg = config(AggregatorSpec.cvar(0.5), loss="linear", step_size=1e300,
+                     step_decay="constant", epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError) as err:
             train(cfg, ds)
         assert err.value.trace is not None
 

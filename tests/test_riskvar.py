@@ -160,6 +160,18 @@ class TestAggregate:
         with pytest.raises(ParameterError):
             aggregate(UNIFORM_1234, AggregatorSpec.top_k(5))
 
+    def test_cvar_weights_skip_zero_probability_quantile_atom(self):
+        # alpha within PROB_TOL of 0 with the lowest value on a
+        # zero-probability atom: rho must come from the positive atoms
+        spec = AggregatorSpec.cvar(1e-13)
+        values, probs = np.array([0.1, 0.5, 0.9]), np.array([0.0, 0.5, 0.5])
+        weights, rho = spec.weights(values, probs)
+        assert rho == 0.5
+        assert weights[0] == 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(weights @ values) == pytest.approx(
+            spec.value(values, probs), abs=1e-12)
+
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             AggregatorSpec.cvar(1.0)
