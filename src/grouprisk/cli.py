@@ -96,17 +96,24 @@ def _partition_mode(args) -> str:
     return "categorical"
 
 
-def _train_once(args, dataset):
+def _check_train_frac(args):
     if not 0.0 < args.train_frac <= 1.0:
         raise ParameterError(
             f"--train-frac must lie in (0, 1], got {args.train_frac!r}")
-    config = TrainConfig(aggregator=_aggregator_from_flags(args),
-                         loss=LossSpec(args.loss),
-                         l2_reg=args.l2,
-                         epochs=args.epochs,
-                         step_size=args.lr,
-                         step_decay=args.decay,
-                         partition_mode=_partition_mode(args))
+
+
+def _config(args, aggregator: AggregatorSpec) -> TrainConfig:
+    return TrainConfig(aggregator=aggregator,
+                       loss=LossSpec(args.loss),
+                       l2_reg=args.l2,
+                       epochs=args.epochs,
+                       step_size=args.lr,
+                       step_decay=args.decay,
+                       partition_mode=_partition_mode(args))
+
+
+def _prepare(args, dataset):
+    """Seeded train/test split, then standardization fitted on the train rows."""
     if args.train_frac < 1.0:
         # split randomness derives from the run seed, offset so the draw
         # is independent of the synthetic generator's
@@ -115,8 +122,7 @@ def _train_once(args, dataset):
     else:
         train_ds, test_ds, stratified = dataset, None, True
     train_ds, test_ds, _ = standardize(train_ds, test_ds)
-    report = train(config, train_ds)
-    return config, report, train_ds, test_ds, stratified
+    return train_ds, test_ds, stratified
 
 
 def _evaluation_block(report: TrainReport, dataset, mode: str, loss: LossSpec):
@@ -156,7 +162,11 @@ def _emit(text: str, output):
 def cmd_train(args) -> int:
     started = time.perf_counter()
     dataset = _load_dataset(args)
-    config, report, train_ds, test_ds, stratified = _train_once(args, dataset)
+    # flag errors are reported before the split can fail on a one-row file
+    _check_train_frac(args)
+    config = _config(args, _aggregator_from_flags(args))
+    train_ds, test_ds, stratified = _prepare(args, dataset)
+    report = train(config, train_ds)
     mode = config.partition_mode
     artifact = {
         "tool": "grouprisk",
@@ -198,15 +208,15 @@ def cmd_sweep(args) -> int:
         if not 0.0 < a < 1.0:
             raise ParameterError(f"sweep alpha must lie in (0, 1), got {a!r}")
     dataset = _load_dataset(args)
+    _check_train_frac(args)
+    configs = [_config(args, AggregatorSpec.cvar(a)) for a in alphas]
+    train_ds, test_ds, _ = _prepare(args, dataset)
+    eval_ds = test_ds if (test_ds is not None and test_ds.m > 0) else train_ds
+    part = partition(eval_ds, _partition_mode(args))
     lines = [SWEEP_HEADER]
     try:
-        for alpha in alphas:
-            # the sweep parser defines no aggregator flags; inject the
-            # cvar choice the shared training helper expects
-            args.aggregator, args.alpha = "cvar", alpha
-            config, report, train_ds, test_ds, _ = _train_once(args, dataset)
-            eval_ds = test_ds if (test_ds is not None and test_ds.m > 0) else train_ds
-            part = partition(eval_ds, config.partition_mode)
+        for alpha, config in zip(alphas, configs):
+            report = train(config, train_ds)
             ev = evaluate(report.model, eval_ds, part, config.loss)
             lines.append(",".join([
                 _fmt(alpha),

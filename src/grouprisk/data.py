@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import IngestionError, ParameterError
-from .subgroup import Dataset
+from .subgroup import Dataset, first_appearance
 
 
 @dataclass(frozen=True)
@@ -107,33 +107,30 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult
     target = int(round(train_fraction * m))
     target = min(max(target, 1), m - 1)
 
-    keys = [(float(y), s) for y, s in zip(dataset.labels, dataset.sensitive.tolist())]
-    strata: dict = {}
-    for i, k in enumerate(keys):
-        strata.setdefault(k, []).append(i)
-    stratified = all(len(v) >= 2 for v in strata.values())
-
-    if not stratified:
+    codes, keys = first_appearance(list(zip(dataset.labels.tolist(),
+                                            dataset.sensitive.tolist())))
+    sizes = np.bincount(codes)
+    if np.any(sizes < 2):
         perm = rng.permutation(m)
         return SplitResult(dataset.take(perm[:target]), dataset.take(perm[target:]),
                            False)
 
-    quotas = []
-    for k in sorted(strata, key=repr):
-        idx = np.array(strata[k])
-        share = train_fraction * idx.size
-        quotas.append([k, idx, int(np.floor(share)), share - np.floor(share)])
-    remainder = target - sum(q[2] for q in quotas)
+    # strata are visited in repr order of their (label, group) keys; a
+    # stable sort by code lists each stratum's rows in ascending order
+    order = sorted(range(len(keys)), key=lambda c: repr(keys[c]))
+    strata = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
+    shares = train_fraction * sizes[order]
+    takes = np.floor(shares).astype(int)
     # hand leftover slots to the largest fractional remainders, stable order
-    for q in sorted(quotas, key=lambda q: -q[3])[:max(remainder, 0)]:
-        q[2] += 1
+    leftover = np.argsort(np.floor(shares) - shares, kind="stable")
+    takes[leftover[:max(target - int(takes.sum()), 0)]] += 1
     train_idx, test_idx = [], []
-    for _, idx, take, _ in quotas:
-        perm = idx[rng.permutation(idx.size)]
-        train_idx.extend(perm[:take].tolist())
-        test_idx.extend(perm[take:].tolist())
-    return SplitResult(dataset.take(np.array(sorted(train_idx), dtype=int)),
-                       dataset.take(np.array(sorted(test_idx), dtype=int)),
+    for c, take in zip(order, takes):
+        perm = strata[c][rng.permutation(sizes[c])]
+        train_idx.append(perm[:take])
+        test_idx.append(perm[take:])
+    return SplitResult(dataset.take(np.sort(np.concatenate(train_idx))),
+                       dataset.take(np.sort(np.concatenate(test_idx))),
                        True)
 
 
@@ -177,6 +174,12 @@ def _parse_float(token: str, row: int, column: str) -> float:
         raise IngestionError(
             f"row {row}, column {column!r}: cannot parse {token!r} as a number"
         ) from None
+
+
+def _one_hot(codes: np.ndarray, n: int) -> np.ndarray:
+    hot = np.zeros((codes.size, n))
+    hot[np.arange(codes.size), codes] = 1.0
+    return hot
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
@@ -232,12 +235,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                                            sens_names[0])
                               for r, row in enumerate(rows, start=2)])
     else:
-        keys = [tuple(row[col_index[n]] for n in sens_names) for row in rows]
-        codes: dict = {}
-        for k in keys:
-            if k not in codes:
-                codes[k] = len(codes)
-        sensitive = np.array([codes[k] for k in keys], dtype=int)
+        sensitive, levels = first_appearance(
+            [tuple(row[col_index[n]] for n in sens_names) for row in rows])
 
     columns = []
     for name in feature_names:
@@ -246,23 +245,14 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             columns.append(np.array([float(t) for t in tokens]))
         except ValueError:
             # text column: one-hot in first-appearance order
-            values: dict = {}
-            for t in tokens:
-                if t not in values:
-                    values[t] = len(values)
-            hot = np.zeros((len(rows), len(values)))
-            for i, t in enumerate(tokens):
-                hot[i, values[t]] = 1.0
-            columns.extend(hot.T)
+            codes, values = first_appearance(tokens)
+            columns.extend(_one_hot(codes, len(values)).T)
 
     if schema.include_sensitive:
         if schema.sensitive_kind == "real":
             columns.append(sensitive.astype(float))
         else:
-            n_groups = int(sensitive.max()) + 1
-            hot = np.zeros((len(rows), n_groups))
-            hot[np.arange(len(rows)), sensitive] = 1.0
-            columns.extend(hot.T)
+            columns.extend(_one_hot(sensitive, len(levels)).T)
 
     if not columns:
         raise IngestionError(f"{path}: no feature columns")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedMetricError
 from .riskvar import DiscreteRandomVariable
-from .subgroup import Dataset, GroupPartition, LinearModel, LossSpec, subgroup_risks
+from .subgroup import Dataset, GroupPartition, LinearModel, LossSpec
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,12 @@ def predictions_from_scores(scores: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(scores, float) >= 0.0, 1.0, -1.0)
 
 
-def _group_rates(values: np.ndarray, part: GroupPartition) -> np.ndarray:
-    return np.bincount(part.group_ids, weights=values, minlength=part.n) / part.sizes
-
-
 def mean_difference_01(predictions: np.ndarray, labels: np.ndarray,
                        part: GroupPartition) -> float:
     """Absolute difference of the two subgroup zero-one error rates."""
     if part.n != 2:
         raise ParameterError(f"mean difference needs exactly 2 groups, got {part.n}")
-    err = _group_rates((np.asarray(predictions) != np.asarray(labels)).astype(float),
-                       part)
+    err = part.means((np.asarray(predictions) != np.asarray(labels)).astype(float))
     return float(abs(err[0] - err[1]))
 
 
@@ -66,7 +61,7 @@ def dp_violation(predictions: np.ndarray, part: GroupPartition) -> float:
     worst = 0.0
     preds = np.asarray(predictions, float)
     for a in (-1.0, 1.0):
-        rates = _group_rates((preds == a).astype(float), part)
+        rates = part.means((preds == a).astype(float))
         worst = max(worst, float(np.ptp(rates)))
     return worst
 
@@ -141,17 +136,18 @@ def evaluate(model: LinearModel, dataset: Dataset, part: GroupPartition,
     scores = model.scores(dataset.features)
     preds = predictions_from_scores(scores)
     errors = (preds != dataset.labels).astype(float)
-    sub_err = _group_rates(errors, part)
-    mean_diff = (float(abs(sub_err[0] - sub_err[1])) if part.n == 2 else None)
+    sub_err = part.means(errors)
     try:
         pd_value = pairwise_disagreement(scores, dataset.labels)
     except UndefinedMetricError:
         pd_value = None
-    risks = subgroup_risks(model, dataset, part, loss)
+    risks = DiscreteRandomVariable(part.means(loss.values(dataset.labels, scores)),
+                                   part.probs)
     return EvaluationReport(
         zero_one_risk=float(errors.mean()),
         subgroup_zero_one={int(g): float(sub_err[g]) for g in range(part.n)},
-        mean_difference=mean_diff,
+        mean_difference=(mean_difference_01(preds, dataset.labels, part)
+                         if part.n == 2 else None),
         dp_violation=dp_violation(preds, part),
         covariance=covariance_metric(preds, dataset.sensitive),
         mutual_information_nats=mutual_information_metric(preds, part),

@@ -138,28 +138,29 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     # objectives[i] belongs to iterate i; pass i records it, then steps
     objectives = np.empty(config.epochs + 1)
     best_epoch = 0
-    for epoch in range(config.epochs + 1):
-        scores = X @ w + b
-        risks = np.bincount(part.group_ids, weights=loss.values(y, scores),
-                            minlength=part.n) / part.sizes
-        obj = spec.value(risks, part.probs) + _l2_term(w, config.l2_reg)
-        if not np.isfinite(obj):
-            raise NumericalError(
-                f"objective became non-finite at epoch {epoch}",
-                trace=objectives[1:epoch].copy())
-        objectives[epoch] = obj
-        if epoch == 0 or obj < objectives[best_epoch]:
-            best_epoch, best_w, best_b, best_risks = epoch, w, b, risks
-        if epoch == config.epochs:
-            break
-        coef_group, _ = spec.weights(risks, part.probs)
-        coef = (coef_group / part.sizes)[part.group_ids] * loss.grads(y, scores)
-        g_w = X.T @ coef + config.l2_reg * w
-        step = config.step_size
-        if config.step_decay == "inv_sqrt":
-            step /= np.sqrt(epoch + 1.0)
-        w = w - step * g_w
-        b = b - step * float(coef.sum())
+    # overflow surfaces as a non-finite objective, raised as NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs + 1):
+            scores = X @ w + b
+            risks = part.means(loss.values(y, scores))
+            obj = spec.value(risks, part.probs) + _l2_term(w, config.l2_reg)
+            if not np.isfinite(obj):
+                raise NumericalError(
+                    f"objective became non-finite at epoch {epoch}",
+                    trace=objectives[1:epoch].copy())
+            objectives[epoch] = obj
+            if epoch == 0 or obj < objectives[best_epoch]:
+                best_epoch, best_w, best_b, best_risks = epoch, w, b, risks
+            if epoch == config.epochs:
+                break
+            coef_group, _ = spec.weights(risks, part.probs)
+            coef = (coef_group / part.sizes)[part.group_ids] * loss.grads(y, scores)
+            g_w = X.T @ coef + config.l2_reg * w
+            step = config.step_size
+            if config.step_decay == "inv_sqrt":
+                step /= np.sqrt(epoch + 1.0)
+            w = w - step * g_w
+            b = b - step * float(coef.sum())
 
     _, rho = spec.weights(best_risks, part.probs)
     metrics = {

@@ -241,6 +241,12 @@ def _check_alpha(alpha: float):
         raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
+def _merge(values: np.ndarray, probs: np.ndarray):
+    """Distinct values in ascending order and the summed probability of each."""
+    uv, inverse = np.unique(values, return_inverse=True)
+    return uv, np.bincount(inverse, weights=probs, minlength=uv.size)
+
+
 def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
     """Lower quantile inf{z : F(z) >= alpha} over merged, sorted atoms.
 
@@ -248,8 +254,7 @@ def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> floa
     ``PROB_TOL`` of 0 a zero-probability atom below the support would
     otherwise be returned.
     """
-    uv, inverse = np.unique(values, return_inverse=True)
-    up = np.bincount(inverse, weights=probs, minlength=uv.size)
+    uv, up = _merge(values, probs)
     cum = np.cumsum(up)
     # 1e-12 slack so accumulated rounding cannot skip the boundary atom.
     idx = int(np.searchsorted(cum, alpha - PROB_TOL, side="left"))
@@ -271,8 +276,7 @@ def _cvar_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
     every distinct atom value r; the convex piecewise-linear f attains its
     minimum there.  Suffix sums keep this O(n log n).
     """
-    uv, inverse = np.unique(values, return_inverse=True)
-    up = np.bincount(inverse, weights=probs, minlength=uv.size)
+    uv, up = _merge(values, probs)
     inv = 1.0 / (1.0 - alpha)
     # tail_p[j] / tail_pv[j]: total prob and prob-weighted value strictly above uv[j]
     tail_p = np.concatenate([np.cumsum(up[::-1])[::-1][1:], [0.0]])
@@ -345,10 +349,6 @@ def _tol(*xs) -> float:
     return AXIOM_TOL * max(1.0, *(abs(x) for x in xs))
 
 
-def _eval(spec: AggregatorSpec, values: np.ndarray, probs: np.ndarray) -> float:
-    return aggregate(DiscreteRandomVariable(values, probs), spec)
-
-
 def _sample_space(rng: np.random.Generator, spec: AggregatorSpec, uniform=False):
     """Shared sample space: a size and a probability vector.
 
@@ -392,8 +392,8 @@ def _check_f1(spec, rng):
     else:
         z2 = z * rng.choice([-1.0, 1.0], size=n)
     t = float(rng.uniform(0.1, 0.9))
-    lhs = _eval(spec, (1.0 - t) * z + t * z2, probs)
-    rhs = (1.0 - t) * _eval(spec, z, probs) + t * _eval(spec, z2, probs)
+    lhs = spec.value((1.0 - t) * z + t * z2, probs)
+    rhs = (1.0 - t) * spec.value(z, probs) + t * spec.value(z2, probs)
     if lhs > rhs + _tol(lhs, rhs):
         return _ce(values=z, values2=z2, probs=probs, t=t, lhs=lhs, rhs=rhs)
     return None
@@ -402,13 +402,13 @@ def _check_f1(spec, rng):
 def _check_f2(spec, rng):
     """Positive homogeneity: R(0) = 0 and R(cZ) = cR(Z) for c > 0."""
     n, probs = _sample_space(rng, spec)
-    r0 = _eval(spec, np.zeros(n), probs)
+    r0 = spec.value(np.zeros(n), probs)
     if abs(r0) > AXIOM_TOL:
         return _ce(values=np.zeros(n), probs=probs, lhs=r0, rhs=0.0)
     z = _sample_values(rng, n)
     c = float(rng.uniform(0.1, 10.0))
-    lhs = _eval(spec, c * z, probs)
-    rhs = c * _eval(spec, z, probs)
+    lhs = spec.value(c * z, probs)
+    rhs = c * spec.value(z, probs)
     if abs(lhs - rhs) > _tol(lhs, rhs):
         return _ce(values=z, probs=probs, c=c, lhs=lhs, rhs=rhs)
     return None
@@ -430,8 +430,8 @@ def _check_f3(spec, rng):
         # deviation-penalised aggregators.
         cap = float(rng.uniform(np.median(z), np.max(z)))
         z2 = np.maximum(z, cap)
-    lhs = _eval(spec, z, probs)
-    rhs = _eval(spec, z2, probs)
+    lhs = spec.value(z, probs)
+    rhs = spec.value(z2, probs)
     if lhs > rhs + _tol(lhs, rhs):
         return _ce(values=z, values2=z2, probs=probs, lhs=lhs, rhs=rhs)
     return None
@@ -443,8 +443,8 @@ def _check_f4(spec, rng):
     z, z2 = _sample_values(rng, n), _sample_values(rng, n)
     t = float(rng.uniform(0.05, 0.9))
     h = 1e-6
-    a = _eval(spec, (1.0 - t) * z + t * z2, probs)
-    b = _eval(spec, (1.0 - t - h) * z + (t + h) * z2, probs)
+    a = spec.value((1.0 - t) * z + t * z2, probs)
+    b = spec.value((1.0 - t - h) * z + (t + h) * z2, probs)
     if abs(a - b) > 1e-2:
         return _ce(values=z, values2=z2, probs=probs, t=t, lhs=a, rhs=b)
     return None
@@ -455,8 +455,8 @@ def _check_f5(spec, rng):
     n, probs = _sample_space(rng, spec)
     z = _sample_values(rng, n)
     c = float(rng.uniform(-5.0, 5.0))
-    lhs = _eval(spec, z + c, probs)
-    rhs = _eval(spec, z, probs) + c
+    lhs = spec.value(z + c, probs)
+    rhs = spec.value(z, probs) + c
     if abs(lhs - rhs) > _tol(lhs, rhs):
         return _ce(values=z, probs=probs, c=c, lhs=lhs, rhs=rhs)
     return None
@@ -466,7 +466,7 @@ def _check_f6(spec, rng):
     """Aversity: R(Z) > E(Z) for non-constant Z."""
     n, probs = _sample_space(rng, spec)
     z = _sample_values(rng, n, min_spread=0.5)
-    r = _eval(spec, z, probs)
+    r = spec.value(z, probs)
     e = float(np.dot(probs, z))
     if r - e <= _tol(r, e):
         return _ce(values=z, probs=probs, lhs=r, rhs=e)
@@ -478,8 +478,8 @@ def _check_f7(spec, rng):
     n, probs = _sample_space(rng, spec, uniform=True)
     z = _sample_values(rng, n)
     perm = rng.permutation(n)
-    lhs = _eval(spec, z[perm], probs)
-    rhs = _eval(spec, z, probs)
+    lhs = spec.value(z[perm], probs)
+    rhs = spec.value(z, probs)
     if abs(lhs - rhs) > _tol(lhs, rhs):
         return _ce(values=z, probs=probs, permutation=perm, lhs=lhs, rhs=rhs)
     return None
@@ -489,7 +489,7 @@ def _check_f8(spec, rng):
     """Constants: R of a constant variable equals the constant."""
     n, probs = _sample_space(rng, spec)
     c = float(rng.uniform(-5.0, 5.0))
-    lhs = _eval(spec, np.full(n, c), probs)
+    lhs = spec.value(np.full(n, c), probs)
     if abs(lhs - c) > _tol(lhs, c):
         return _ce(values=np.full(n, c), probs=probs, lhs=lhs, rhs=c)
     return None
@@ -499,13 +499,13 @@ def _check_f9(spec, rng):
     """Induced deviation R - E is >= 0, zero exactly on constants."""
     n, probs = _sample_space(rng, spec)
     z = _sample_values(rng, n, min_spread=0.5)
-    dev = _eval(spec, z, probs) - float(np.dot(probs, z))
+    dev = spec.value(z, probs) - float(np.dot(probs, z))
     if dev < -_tol(dev):
         return _ce(values=z, probs=probs, deviation=dev, reason="negative deviation")
     if dev <= _tol(dev):
         return _ce(values=z, probs=probs, deviation=dev, reason="zero on non-constant")
     c = float(rng.uniform(-5.0, 5.0))
-    dev_c = _eval(spec, np.full(n, c), probs) - c
+    dev_c = spec.value(np.full(n, c), probs) - c
     if abs(dev_c) > _tol(dev_c, c):
         return _ce(values=np.full(n, c), probs=probs, deviation=dev_c,
                    reason="nonzero on constant")

@@ -193,6 +193,11 @@ class GroupPartition:
     def n(self) -> int:
         return self.sizes.size
 
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Per-group mean of one value per row, in group order."""
+        return (np.bincount(self.group_ids, weights=values, minlength=self.n)
+                / self.sizes)
+
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
@@ -216,17 +221,15 @@ class LinearModel:
         return np.asarray(features, float) @ self.weights + self.intercept
 
 
-def _first_appearance_codes(values: np.ndarray):
-    """Codes 0..n-1 in order of first appearance, plus the distinct values."""
+def first_appearance(values):
+    """Codes 0..n-1 in order of first appearance, plus the distinct values.
+
+    Pass Python scalars (an array's ``.tolist()``), not numpy ones.
+    """
     seen: dict = {}
-    codes = np.empty(values.shape[0], dtype=int)
-    order = []
-    for i, v in enumerate(values.tolist()):
-        if v not in seen:
-            seen[v] = len(seen)
-            order.append(v)
-        codes[i] = seen[v]
-    return codes, order
+    codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
+                        dtype=int, count=len(values))
+    return codes, list(seen)
 
 
 def partition(dataset: Dataset, mode: str = "categorical") -> GroupPartition:
@@ -250,7 +253,7 @@ def partition(dataset: Dataset, mode: str = "categorical") -> GroupPartition:
         raise ParameterError(
             "categorical partition requires integer-coded sensitive values; "
             "use per_instance mode for real-valued sensitive features")
-    codes, order = _first_appearance_codes(s)
+    codes, order = first_appearance(s.tolist())
     sizes = np.bincount(codes, minlength=len(order))
     if dataset.group_weighting is not None:
         probs = np.array([float(dataset.group_weighting[v]) for v in order])
@@ -266,9 +269,7 @@ def group_risk_vector(model: LinearModel, dataset: Dataset,
         raise ParameterError("model dimension does not match the dataset")
     if part.group_ids.shape[0] != dataset.m:
         raise ParameterError("partition does not match the dataset")
-    losses = loss.values(dataset.labels, model.scores(dataset.features))
-    sums = np.bincount(part.group_ids, weights=losses, minlength=part.n)
-    return sums / part.sizes
+    return part.means(loss.values(dataset.labels, model.scores(dataset.features)))
 
 
 def subgroup_risks(model: LinearModel, dataset: Dataset, part: GroupPartition,

@@ -56,10 +56,16 @@ class TestLoadCsv:
         assert part.n == 3
 
     def test_real_sensitive_unparseable(self, tmp_path):
-        path = write(tmp_path, "a,weight,outcome\n1,heavy,yes\n")
         schema = CsvSchema(label_column="outcome", sensitive_column="weight",
                            positive_label_token="yes", sensitive_kind="real")
+        path = write(tmp_path, "a,weight,outcome\n1,heavy,yes\n")
         with pytest.raises(IngestionError, match="weight"):
+            load_csv(path, schema)
+        # data row i is file row i + 2 (the header is row 1)
+        rows = ["1,heavy,yes" if i == 4998 else "1,70.5,no" for i in range(6000)]
+        path = write(tmp_path, "a,weight,outcome\n" + "\n".join(rows) + "\n",
+                     name="deep.csv")
+        with pytest.raises(IngestionError, match=r"row 5000, column 'weight'"):
             load_csv(path, schema)
 
     def test_text_feature_one_hot_first_appearance(self, tmp_path):
@@ -68,6 +74,15 @@ class TestLoadCsv:
         ds = load_csv(path, SCHEMA)
         np.testing.assert_allclose(ds.features[:, :2],
                                    [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        # a level first seen deep in the file takes the last column
+        colors = ["red", "blue"] * 2000 + ["green"] + ["red"] * 10
+        rows = "\n".join(f"{c},m,yes" for c in colors)
+        path = write(tmp_path, "color,grp,outcome\n" + rows + "\n",
+                     name="deep.csv")
+        ds = load_csv(path, SCHEMA)
+        np.testing.assert_array_equal(ds.features[:, 2],
+                                      [c == "green" for c in colors])
+        np.testing.assert_array_equal(ds.features[:, :3].sum(axis=1), 1.0)
 
     def test_duplicate_header(self, tmp_path):
         path = write(tmp_path, "a,a,outcome\n1,2,yes\n")
@@ -123,6 +138,15 @@ class TestLoadCsv:
                            positive_label_token="yes")
         ds = load_csv(path, schema)
         np.testing.assert_array_equal(ds.sensitive, [0, 1, 2])
+        # beside a text feature: its one-hot, then the combined key's
+        path = write(tmp_path,
+                     "color,g1,g2,outcome\nred,m,x,yes\nblue,m,y,no\n"
+                     "red,f,x,yes\nblue,m,x,no\n", name="text.csv")
+        ds = load_csv(path, schema)
+        np.testing.assert_array_equal(ds.sensitive, [0, 1, 2, 0])
+        np.testing.assert_array_equal(ds.features,
+                                      [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0],
+                                       [1, 0, 0, 0, 1], [0, 1, 1, 0, 0]])
 
 
 class TestGenerateSynth:
@@ -176,7 +200,59 @@ class TestGenerateSynth:
             SynthSpec(noise_rates=(0.0, 0.6))
 
 
+def reference_split(dataset, train_fraction, seed=0):
+    """Per-row dict-of-lists stratified split that ``split`` must reproduce."""
+    rng = np.random.default_rng(seed)
+    m = dataset.m
+    target = min(max(int(round(train_fraction * m)), 1), m - 1)
+    strata = {}
+    for i, k in enumerate(zip(dataset.labels.tolist(),
+                              dataset.sensitive.tolist())):
+        strata.setdefault(k, []).append(i)
+    if not all(len(v) >= 2 for v in strata.values()):
+        perm = rng.permutation(m)
+        return perm[:target], perm[target:], False
+    quotas = []
+    for k in sorted(strata, key=repr):
+        idx = np.array(strata[k])
+        share = train_fraction * idx.size
+        quotas.append([idx, int(np.floor(share)), share - np.floor(share)])
+    remainder = target - sum(q[1] for q in quotas)
+    for q in sorted(quotas, key=lambda q: -q[2])[:max(remainder, 0)]:
+        q[1] += 1
+    train_idx, test_idx = [], []
+    for idx, take, _ in quotas:
+        perm = idx[rng.permutation(idx.size)]
+        train_idx.extend(perm[:take].tolist())
+        test_idx.extend(perm[take:].tolist())
+    return sorted(train_idx), sorted(test_idx), True
+
+
 class TestSplit:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(12)
+        synth = generate_synth(SynthSpec(m=403, seed=1))
+        m = 997
+        five = Dataset(rng.normal(size=(m, 2)), rng.choice([-1.0, 1.0], m),
+                       rng.choice(5, m, p=[0.5, 0.2, 0.15, 0.1, 0.05]))
+        real = Dataset(rng.normal(size=(m, 1)), rng.choice([-1.0, 1.0], m),
+                       np.round(rng.uniform(40.0, 120.0, m), 1))
+        for ds in (synth, five, real):
+            for frac in (0.8, 0.37, 0.33, 0.71):
+                for seed in (0, 5):
+                    res = split(ds, frac, seed=seed)
+                    train_idx, test_idx, stratified = reference_split(ds, frac,
+                                                                      seed)
+                    assert res.stratified == stratified
+                    for got, idx in ((res.train, train_idx),
+                                     (res.test, test_idx)):
+                        want = ds.take(np.asarray(idx, dtype=int))
+                        np.testing.assert_array_equal(got.features, want.features)
+                        np.testing.assert_array_equal(got.labels, want.labels)
+                        np.testing.assert_array_equal(got.sensitive,
+                                                      want.sensitive)
+        assert split(five, 0.8).stratified and not split(real, 0.8).stratified
+
     def test_sizes(self):
         ds = generate_synth(SynthSpec(m=100, seed=0))
         res = split(ds, 0.8, seed=1)

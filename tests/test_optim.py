@@ -1,5 +1,6 @@
 """Unit tests for the variational objective, its subgradient, and training."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from grouprisk import (AggregatorSpec, Dataset, LinearModel, LossSpec,
                        NumericalError, ParameterError, SynthSpec, TrainConfig,
                        alpha_sweep, cvar, cvar_objective, generate_synth,
-                       partition, quantile, subgradient, subgroup_risks,
-                       train, weighted_risk)
+                       partition, quantile, standardize, subgradient,
+                       subgroup_risks, train, weighted_risk)
 
 
 def two_group_dataset(rng, m=60):
@@ -16,6 +17,11 @@ def two_group_dataset(rng, m=60):
     y = rng.choice([-1.0, 1.0], size=m)
     s = rng.integers(0, 2, size=m)
     return Dataset(X, y, s)
+
+
+ALL_KINDS = (AggregatorSpec.cvar(0.9), AggregatorSpec.expectation(),
+             AggregatorSpec.sd_penalty(1.0), AggregatorSpec.top_k(1),
+             AggregatorSpec.max_value())
 
 
 def config(agg, loss="squared_hinge", **kw):
@@ -238,6 +244,36 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
             train(cfg, ds)
         assert err.value.trace is not None
+
+    def test_overflow_raises_without_runtime_warnings(self):
+        # the run of ``grouprisk train --lr 1e200 --epochs 20``: the
+        # non-finite objective is reported once, as NumericalError
+        ds = standardize(generate_synth(SynthSpec(m=320, seed=0)))[0]
+        for agg in ALL_KINDS:
+            cfg = config(agg, step_size=1e200, epochs=20)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericalError):
+                    train(cfg, ds)
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], agg
+
+    def test_single_row_objectives_finite(self):
+        ds = generate_synth(SynthSpec(m=1))
+        for agg in ALL_KINDS:
+            for mode in ("categorical", "per_instance"):
+                report = train(config(agg, partition_mode=mode), ds)
+                assert np.all(np.isfinite(report.objective_trace)), (agg, mode)
+                assert np.isfinite(report.metrics["best_objective"])
+
+    def test_cvar_alpha_near_one_is_max(self):
+        ds = generate_synth(SynthSpec(m=200, seed=4))
+        report = train(config(AggregatorSpec.cvar(1.0 - 1e-13)), ds)
+        risks = report.final_subgroup_risks.values
+        w = report.model.weights
+        assert report.metrics["best_objective"] == float(risks.max()) + \
+            0.5 * 1e-4 * float(np.dot(w, w))
+        assert report.rho == float(risks.max())
 
     def test_weight_overflow_is_numerical_error(self):
         # the step overflows the weights themselves, not only the scores
