@@ -14,12 +14,14 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import (GroupRiskError, InputError, NumericalError,
                      ParameterError)
 from .riskvar import (AggregatorSpec, FAIRNESS_AXIOMS, check_axiom,
                       sd_deviation)
-from .subgroup import LossSpec, partition, weighted_risk
+from .subgroup import LossSpec, partition
 from .optim import TrainConfig, TrainReport, train
 from .metrics import evaluate
 from .data import CsvSchema, SynthSpec, generate_synth, load_csv, split, standardize
@@ -126,7 +128,7 @@ def _prepare(args, dataset):
 
 
 def _evaluation_block(report: TrainReport, dataset, mode: str, loss: LossSpec):
-    if dataset is None or dataset.m == 0:
+    if dataset is None:
         return None
     part = partition(dataset, mode)
     return evaluate(report.model, dataset, part, loss).to_dict()
@@ -153,10 +155,14 @@ def _emit(text: str, output):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise ParameterError(
+                f"--output {output}: cannot write ({exc.strerror})") from None
 
 
 def cmd_train(args) -> int:
@@ -211,7 +217,7 @@ def cmd_sweep(args) -> int:
     _check_train_frac(args)
     configs = [_config(args, AggregatorSpec.cvar(a)) for a in alphas]
     train_ds, test_ds, _ = _prepare(args, dataset)
-    eval_ds = test_ds if (test_ds is not None and test_ds.m > 0) else train_ds
+    eval_ds = train_ds if test_ds is None else test_ds
     part = partition(eval_ds, _partition_mode(args))
     lines = [SWEEP_HEADER]
     try:
@@ -220,7 +226,7 @@ def cmd_sweep(args) -> int:
             ev = evaluate(report.model, eval_ds, part, config.loss)
             lines.append(",".join([
                 _fmt(alpha),
-                _fmt(weighted_risk(report.model, eval_ds, part, config.loss)),
+                _fmt(np.dot(part.probs, ev.subgroup_risks.values)),
                 _fmt(ev.subgroup_loss_gap),
                 _fmt(ev.dp_violation),
                 _fmt(ev.mean_difference) if ev.mean_difference is not None else "",

@@ -159,8 +159,8 @@ def standardize(train: Dataset, test: Optional[Dataset] = None):
     scaler = Scaler(mu, sd)
 
     def apply(ds: Optional[Dataset]):
-        if ds is None or ds.m == 0:
-            return ds
+        if ds is None:
+            return None
         return Dataset(scaler.transform(ds.features), ds.labels, ds.sensitive,
                        ds.group_weighting)
 
@@ -184,13 +184,19 @@ def _one_hot(codes: np.ndarray, n: int) -> np.ndarray:
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a CSV file into a dataset according to the schema."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: row {reader.line_num}: {exc}") from None
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise IngestionError(f"{path}: duplicate header names {dupes}")

@@ -39,6 +39,8 @@ INEQUALITY_AXIOMS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I11")
 
 _REPLICATION_FACTORS = (2, 3, 5)
 
+_MIN_TRANSFER_GAP = 1e-2
+
 
 def _as_income_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -198,7 +200,9 @@ def pigou_dalton_pair(rng: np.random.Generator, n: int,
         if x[i] < x[j]:
             i, j = j, i
         gap = x[i] - x[j]
-        if gap <= 1e-6:
+        # draws lie in [0.1, 10]; a transfer across a smaller gap can move
+        # a strictly Schur-convex index by less than the 1e-9 tolerance
+        if gap <= _MIN_TRANSFER_GAP:
             continue
         delta = float(rng.uniform(0.2, 0.5)) * gap
         x[i] -= delta

@@ -18,7 +18,11 @@ from .subgroup import Dataset, GroupPartition, LinearModel, LossSpec
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Bundle of evaluation metrics; fields are None when undefined."""
+    """Bundle of evaluation metrics; fields are None when undefined.
+
+    ``subgroup_risks``, the per-group mean losses under the evaluation
+    loss, is kept for callers and left out of ``to_dict``.
+    """
 
     zero_one_risk: float
     subgroup_zero_one: dict
@@ -28,6 +32,7 @@ class EvaluationReport:
     mutual_information_nats: float
     pairwise_disagreement: Optional[float]
     subgroup_loss_gap: float
+    subgroup_risks: DiscreteRandomVariable
 
     def to_dict(self) -> dict:
         return {
@@ -153,4 +158,5 @@ def evaluate(model: LinearModel, dataset: Dataset, part: GroupPartition,
         mutual_information_nats=mutual_information_metric(preds, part),
         pairwise_disagreement=pd_value,
         subgroup_loss_gap=subgroup_loss_gap(risks),
+        subgroup_risks=risks,
     )

@@ -2,11 +2,11 @@
 
 The trainer minimises the aggregate of the subgroup risks plus an L2 term
 on the weights over (weights, intercept) by plain subgradient descent from
-zero initialisation.  Each pass scores the current iterate once: its
-scores, losses and group risks give the objective through
-``AggregatorSpec.value`` and the descent direction through
-``AggregatorSpec.weights``, one coefficient per group on that group's mean
-loss gradient.  For the cvar aggregator the scalar threshold rho of the
+zero initialisation.  Each pass scores the current iterate once and takes
+the loss values and gradients from one pass over the scores.  The group
+risks give the objective and the descent direction, one coefficient per
+group on that group's mean loss gradient, from one aggregator call with
+the bits of ``AggregatorSpec.value`` and ``AggregatorSpec.weights``.  For the cvar aggregator the scalar threshold rho of the
 variational form is not descended: the weights are taken at the exact
 minimiser for the current model, the lower alpha-quantile of the subgroup
 risks.  The top-k aggregator always trains on the per-instance partition,
@@ -130,9 +130,10 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     orders; identical config and dataset reproduce the report bit for bit.
     """
     spec = config.aggregator
-    part = partition(dataset, "per_instance" if spec.kind == "top_k"
-                     else config.partition_mode)
-    X, y, loss = dataset.features, dataset.labels, config.loss
+    mode = "per_instance" if spec.kind == "top_k" else config.partition_mode
+    part = partition(dataset, mode)
+    X = dataset.features
+    values_grads = config.loss._values_grads(dataset.labels)
     w = np.zeros(dataset.d)
     b = 0.0
     # objectives[i] belongs to iterate i; pass i records it, then steps
@@ -141,20 +142,33 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     # overflow surfaces as a non-finite objective, raised as NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
-            scores = X @ w + b
-            risks = part.means(loss.values(y, scores))
-            obj = spec.value(risks, part.probs) + _l2_term(w, config.l2_reg)
+            scores = X @ w
+            scores += b  # in place: no second row-sized temporary
+            values, grads = values_grads(scores)
+            del scores  # hinge losses reuse it for values or grads
+            if mode == "per_instance":
+                # the singleton-group mean is a copy; + 0.0 turns -0.0 into
+                # +0.0 as the bincount does
+                risks = values + 0.0
+            else:
+                risks = part.means(values)
+            del values
+            value, coef_group, rho = spec._value_weights(risks, part.probs)
+            obj = value + _l2_term(w, config.l2_reg)
             if not np.isfinite(obj):
                 raise NumericalError(
                     f"objective became non-finite at epoch {epoch}",
                     trace=objectives[1:epoch].copy())
             objectives[epoch] = obj
             if epoch == 0 or obj < objectives[best_epoch]:
-                best_epoch, best_w, best_b, best_risks = epoch, w, b, risks
+                best_epoch, best_w, best_b = epoch, w, b
+                best_risks, best_rho = risks, rho
             if epoch == config.epochs:
                 break
-            coef_group, _ = spec.weights(risks, part.probs)
-            coef = (coef_group / part.sizes)[part.group_ids] * loss.grads(y, scores)
+            if mode != "per_instance":
+                # on singleton groups this division and gather are copies
+                coef_group = (coef_group / part.sizes)[part.group_ids]
+            coef = np.multiply(coef_group, grads, out=grads)
             g_w = X.T @ coef + config.l2_reg * w
             step = config.step_size
             if config.step_decay == "inv_sqrt":
@@ -162,7 +176,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
             w = w - step * g_w
             b = b - step * float(coef.sum())
 
-    _, rho = spec.weights(best_risks, part.probs)
     metrics = {
         "initial_objective": float(objectives[0]),
         "best_objective": float(objectives[best_epoch]),
@@ -170,7 +183,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
         "final_objective": float(objectives[-1]),
         "objective_convex": 0.0 if spec.kind == "sd_penalty" else 1.0,
     }
-    return TrainReport(model=LinearModel(best_w, best_b), rho=rho,
+    return TrainReport(model=LinearModel(best_w, best_b), rho=best_rho,
                        objective_trace=objectives[1:],
                        final_subgroup_risks=DiscreteRandomVariable(best_risks,
                                                                    part.probs),

@@ -215,13 +215,29 @@ class AggregatorSpec:
         if alpha is None:
             return probs, None
         rho = _quantile_value(v, p, alpha)
-        above = values > rho
-        at = values == rho
-        p_above = float(probs[above].sum())
-        p_at = float(probs[at].sum())
-        theta = min(max(((1.0 - alpha) - p_above) / p_at, 0.0), 1.0)
-        tail = np.where(above, 1.0, 0.0) + np.where(at, theta, 0.0)
-        return probs * tail / (1.0 - alpha), rho
+        return _envelope(values, probs, alpha, rho), rho
+
+    def _value_weights(self, values: np.ndarray, probs: np.ndarray):
+        """(``value``, weights, rho) with the bits of ``value`` and ``weights``.
+
+        cvar and top_k merge the atoms once for both the value and rho, and
+        give no weights (None) when the value is not finite: a NaN quantile
+        has no atom at it to carry the tail share.
+        """
+        if self.kind not in ("cvar", "top_k"):
+            return (self.value(values, probs), *self.weights(values, probs))
+        mask = probs > 0.0
+        v, p = values.compress(mask), probs.compress(mask)
+        alpha = self._tail_level(p)
+        if alpha is None:
+            return float(np.dot(v, p)), probs, None
+        uv, up = _merge(v, p)
+        value, rho = _cvar_merged(uv, up, alpha), _quantile_merged(uv, up, alpha)
+        # free the copies before the envelope allocates its own
+        del mask, v, p, uv, up
+        if not np.isfinite(value):
+            return value, None, rho
+        return value, _envelope(values, probs, alpha, rho), rho
 
 
 def expectation(Z: DiscreteRandomVariable) -> float:
@@ -247,6 +263,15 @@ def _merge(values: np.ndarray, probs: np.ndarray):
     return uv, np.bincount(inverse, weights=probs, minlength=uv.size)
 
 
+def _quantile_merged(uv: np.ndarray, up: np.ndarray, alpha: float) -> float:
+    """Lower quantile inf{z : F(z) >= alpha} of ``_merge``'s output."""
+    cum = np.cumsum(up)
+    # 1e-12 slack so accumulated rounding cannot skip the boundary atom.
+    idx = int(np.searchsorted(cum, alpha - PROB_TOL, side="left"))
+    idx = min(idx, uv.size - 1)
+    return float(uv[idx])
+
+
 def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
     """Lower quantile inf{z : F(z) >= alpha} over merged, sorted atoms.
 
@@ -254,12 +279,7 @@ def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> floa
     ``PROB_TOL`` of 0 a zero-probability atom below the support would
     otherwise be returned.
     """
-    uv, up = _merge(values, probs)
-    cum = np.cumsum(up)
-    # 1e-12 slack so accumulated rounding cannot skip the boundary atom.
-    idx = int(np.searchsorted(cum, alpha - PROB_TOL, side="left"))
-    idx = min(idx, uv.size - 1)
-    return float(uv[idx])
+    return _quantile_merged(*_merge(values, probs), alpha)
 
 
 def quantile(Z: DiscreteRandomVariable, alpha: float) -> float:
@@ -270,19 +290,39 @@ def quantile(Z: DiscreteRandomVariable, alpha: float) -> float:
 
 
 def _cvar_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """Exact cvar of merged atoms via the variational form, alpha in [0, 1).
+    """Exact cvar of the atoms via the variational form, alpha in [0, 1)."""
+    return _cvar_merged(*_merge(values, probs), alpha)
+
+
+def _cvar_merged(uv: np.ndarray, up: np.ndarray, alpha: float) -> float:
+    """Exact cvar of ``_merge``'s output via the variational form.
 
     Evaluates f(r) = r + (1/(1-alpha)) * sum_i p_i * max(v_i - r, 0) at
     every distinct atom value r; the convex piecewise-linear f attains its
     minimum there.  Suffix sums keep this O(n log n).
     """
-    uv, up = _merge(values, probs)
     inv = 1.0 / (1.0 - alpha)
     # tail_p[j] / tail_pv[j]: total prob and prob-weighted value strictly above uv[j]
     tail_p = np.concatenate([np.cumsum(up[::-1])[::-1][1:], [0.0]])
     tail_pv = np.concatenate([np.cumsum((up * uv)[::-1])[::-1][1:], [0.0]])
     f = uv + inv * (tail_pv - uv * tail_p)
     return float(f.min())
+
+
+def _envelope(values: np.ndarray, probs: np.ndarray, alpha: float,
+              rho: float) -> np.ndarray:
+    """The cvar risk envelope at rho described in ``AggregatorSpec.weights``."""
+    above = values > rho
+    at = values == rho
+    # compress picks the same elements as a boolean index, several times faster
+    p_above = float(probs.compress(above).sum())
+    p_at = float(probs.compress(at).sum())
+    theta = min(max(((1.0 - alpha) - p_above) / p_at, 0.0), 1.0)
+    # the bits of where(above, 1.0, 0.0) + where(at, theta, 0.0): theta >= +0.0
+    tail = above + at * theta
+    np.multiply(probs, tail, out=tail)
+    tail /= 1.0 - alpha
+    return tail
 
 
 def cvar(Z: DiscreteRandomVariable, alpha: float) -> float:

@@ -30,6 +30,13 @@ def _hinge_grad(y, s):
     return np.where(1.0 - y * s > 0.0, -y, 0.0)
 
 
+def _margin_in_place(y, s):
+    """max(0, 1 - y*s) with the bits of ``_hinge``, written into s."""
+    np.multiply(y, s, out=s)
+    np.subtract(1.0, s, out=s)
+    return np.maximum(0.0, s, out=s)
+
+
 def _squared_hinge(y, s):
     return _hinge(y, s) ** 2
 
@@ -99,6 +106,30 @@ class LossSpec:
         if gn is None:
             raise ParameterError(f"loss {self.kind!r} has no subgradient")
         return gn(np.asarray(labels, float), np.asarray(scores, float))
+
+    def _values_grads(self, labels: np.ndarray):
+        """Function of a float scores array returning (values, grads).
+
+        The bits are those of ``values`` and ``grads``.  Hinge and squared
+        hinge take both from one margin pass that overwrites the scores
+        array, with -y or -2y computed once here.
+        """
+        y = np.asarray(labels, float)
+        if self.kind == "hinge":
+            neg_y = -y
+
+            def hinge(scores):
+                h = _margin_in_place(y, scores)
+                return h, np.where(h > 0.0, neg_y, 0.0)
+            return hinge
+        if self.kind == "squared_hinge":
+            neg_2y = -2.0 * y
+
+            def squared_hinge(scores):
+                h = _margin_in_place(y, scores)
+                return h * h, np.multiply(neg_2y, h, out=h)
+            return squared_hinge
+        return lambda scores: (self.values(y, scores), self.grads(y, scores))
 
 
 @dataclass(frozen=True, eq=False)

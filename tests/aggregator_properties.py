@@ -14,6 +14,8 @@ from grouprisk.riskvar import PROB_TOL
 VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-2.5, 0.0, 1.0]))
 ALPHAS = st.one_of(st.floats(0.0, 1e-11, exclude_min=True),
                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# cvar levels within PROB_TOL of 1 as well
+EDGE_ALPHAS = st.one_of(ALPHAS, st.floats(1.0 - PROB_TOL, 1.0, exclude_max=True))
 
 
 @st.composite
@@ -37,12 +39,12 @@ def atoms(draw, equal=False):
 
 
 @st.composite
-def specs_with_atoms(draw):
+def specs_with_atoms(draw, alphas=ALPHAS):
     kind = draw(st.sampled_from(["expectation", "cvar", "sd_penalty", "top_k",
                                  "max"]))
     values, probs = draw(atoms(equal=kind == "top_k"))
     if kind == "cvar":
-        spec = AggregatorSpec.cvar(draw(ALPHAS))
+        spec = AggregatorSpec.cvar(draw(alphas))
     elif kind == "sd_penalty":
         spec = AggregatorSpec.sd_penalty(draw(st.floats(0.0, 5.0)))
     elif kind == "top_k":
@@ -126,3 +128,19 @@ def aggregate_is_spec_value(case):
     spec, values, probs = case
     Z = DiscreteRandomVariable(values, probs)
     assert aggregate(Z, spec) == spec.value(values, probs)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_with_atoms(alphas=EDGE_ALPHAS))
+def fused_call_matches_value_and_weights(case):
+    # the training epoch's single call has the bits of the two public ones
+    spec, values, probs = case
+    value, weights, rho = spec._value_weights(values, probs)
+    expected_weights, expected_rho = spec.weights(values, probs)
+    assert _bits(value) == _bits(spec.value(values, probs))
+    assert _bits(weights) == _bits(expected_weights)
+    assert _bits(rho) == _bits(expected_rho)

@@ -31,3 +31,7 @@ def test_top_k_is_cvar_at_one_minus_k_over_n():
 
 def test_aggregate_is_spec_value():
     _properties().aggregate_is_spec_value()
+
+
+def test_fused_call_matches_value_and_weights():
+    _properties().fused_call_matches_value_and_weights()

@@ -56,6 +56,46 @@ class TestTrainCommand:
         assert code == 3
         assert "missing" in err
 
+    def test_missing_data_path_exits_3(self, capsys, tmp_path):
+        path = str(tmp_path / "nope.csv")
+        code, _, err = run(capsys, "train", "--data", path, "--label-col",
+                           "y", "--sensitive-col", "g")
+        assert code == 3
+        assert err.startswith("error: ") and path in err
+
+    def test_directory_as_data_exits_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--alphas", "0.5", "--data",
+                           str(tmp_path), "--label-col", "y",
+                           "--sensitive-col", "g")
+        assert code == 3
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_non_utf8_csv_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,g,y\n1,caf\u00e9,yes\n".encode("latin-1"))
+        code, _, err = run(capsys, "train", "--data", str(path), "--label-col",
+                           "y", "--sensitive-col", "g", "--positive-token",
+                           "yes")
+        assert code == 3
+        assert "UTF-8" in err and str(path) in err
+
+    def test_oversized_csv_field_exits_3(self, capsys, tmp_path):
+        # the csv module refuses fields beyond its 131072-character limit
+        path = tmp_path / "huge.csv"
+        path.write_text("a,g,y\n1,0,yes\n2," + "x" * 200_000 + ",no\n")
+        code, _, err = run(capsys, "train", "--data", str(path), "--label-col",
+                           "y", "--sensitive-col", "g", "--positive-token",
+                           "yes")
+        assert code == 3
+        assert "row 3" in err and str(path) in err
+
+    def test_output_into_missing_directory_exits_2(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "run.json")
+        code, stdout, err = run(capsys, "train", "--epochs", "2", "--output",
+                                out)
+        assert code == 2
+        assert stdout == "" and err.startswith("error: --output") and out in err
+
     def test_numerical_error_exits_4(self, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, _ = run(capsys, "train", "--lr", "1e155", "--decay",

@@ -7,7 +7,8 @@ from grouprisk import (Dataset, DiscreteRandomVariable, LinearModel, LossSpec,
                        ParameterError, UndefinedMetricError, covariance_metric,
                        dp_violation, evaluate, mean_difference_01,
                        mutual_information_metric, pairwise_disagreement,
-                       partition, predictions_from_scores, subgroup_loss_gap)
+                       partition, predictions_from_scores, subgroup_loss_gap,
+                       subgroup_risks, weighted_risk)
 
 
 def two_group_partition(sizes):
@@ -214,6 +215,21 @@ class TestEvaluate:
                     "mutual_information_nats", "pairwise_disagreement",
                     "subgroup_loss_gap", "mean_difference"):
             assert r1[key] == pytest.approx(r2[key], abs=1e-12)
+
+    def test_subgroup_risks_kept_out_of_dict(self, rng):
+        m = 50
+        ds = Dataset(rng.normal(size=(m, 2)), rng.choice([-1.0, 1.0], m),
+                     rng.integers(0, 3, m))
+        part = partition(ds)
+        model, loss = LinearModel(rng.normal(size=2), 0.2), LossSpec("logistic")
+        report = evaluate(model, ds, part, loss)
+        assert "subgroup_risks" not in report.to_dict()
+        risks = report.subgroup_risks
+        np.testing.assert_array_equal(
+            risks.values, subgroup_risks(model, ds, part, loss).values)
+        # the sweep's risk column: the same bits as weighted_risk
+        assert float(np.dot(part.probs, risks.values)) == \
+            weighted_risk(model, ds, part, loss)
 
     def test_sign_zero_predicts_positive(self):
         assert predictions_from_scores(np.array([0.0]))[0] == 1.0

@@ -286,6 +286,24 @@ class TestTrain:
             train(cfg, ds)
         assert err.value.trace is not None
 
+    def test_per_instance_risks_match_the_bincount_mean(self):
+        # the linear loss at the zero model is -0.0 on the positive rows;
+        # the singleton-group mean must turn it into +0.0 as bincount does
+        ds = generate_synth(SynthSpec(m=50, seed=2))
+        part = partition(ds, "per_instance")
+        for agg in (AggregatorSpec.cvar(0.5), AggregatorSpec.top_k(10),
+                    AggregatorSpec.expectation()):
+            # the huge L2 term keeps the zero model the best iterate
+            report = train(config(agg, loss="linear", l2_reg=1e6, epochs=2,
+                                  partition_mode="per_instance"), ds)
+            assert report.metrics["best_epoch"] == 0.0
+            risks = report.final_subgroup_risks.values
+            expected = part.means(LossSpec("linear").values(
+                ds.labels, report.model.scores(ds.features)))
+            assert np.array_equal(np.signbit(risks), np.signbit(expected))
+            assert not np.any(np.signbit(risks)), agg
+            np.testing.assert_array_equal(risks, expected)
+
     def test_sd_penalty_flagged_nonconvex(self, rng):
         ds = two_group_dataset(rng)
         report = train(config(AggregatorSpec.sd_penalty(2.0)), ds)

@@ -61,6 +61,20 @@ class TestLosses:
         with pytest.raises(ParameterError):
             LossSpec("absolute")
 
+    def test_one_pass_values_and_grads_keep_the_bits(self, rng):
+        # the training epoch's single margin pass, at the kink and off
+        # the float range included
+        y = rng.choice([-1.0, 1.0], 400)
+        s = np.concatenate([rng.normal(size=380) * 3, y[380:396],
+                            [0.0, -0.0, 1e300, -np.inf]])
+        for kind in ("hinge", "squared_hinge", "logistic", "linear"):
+            loss = LossSpec(kind)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = (loss.values(y, s), loss.grads(y, s))
+                got = loss._values_grads(y)(s.copy())
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes(), kind
+
     def test_convexity_along_chords(self, rng):
         for kind in ("hinge", "squared_hinge", "logistic", "linear"):
             loss = LossSpec(kind)
