@@ -1,0 +1,178 @@
+"""Golden API outputs: falsifier reports and aggregator values, pinned by SHA-256.
+
+The CLI goldens (``test_golden.py``) reach only the fairness falsifier on
+expectation, cvar and sd_penalty.  This suite pins, one SHA-256 per case:
+
+- ``check_axiom`` reports for every aggregator kind and fairness axiom;
+- ``check_inequality_axiom`` reports for four indices and every
+  inequality axiom;
+- ``AggregatorSpec.value``, ``cvar`` and ``quantile`` over a seeded corpus
+  of 1 to 40 atoms with tied values, -0.0 next to +0.0 and zero
+  probabilities.
+
+A case's canonical text is the report's JSON (sorted keys) or one
+``repr`` per corpus entry, so every bit of every float counts.  Errors are
+part of the output as ``error: ...`` lines.  The digests pin the numpy and
+BLAS build they were made with: regenerate them only after an
+environment change, and name any case whose digest a code change alters.
+
+    python tests/test_golden_api.py --print CASE...   # canonical outputs
+    python tests/test_golden_api.py --digests         # digests as JSON
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from grouprisk import (AggregatorSpec, DiscreteRandomVariable, check_axiom,
+                       check_inequality_axiom, coefficient_of_variation, cvar,
+                       cvar_inequality, from_deviation, quantile,
+                       sd_deviation, spread_over_mean)
+from grouprisk.errors import GroupRiskError
+from grouprisk.inequality import INEQUALITY_AXIOMS
+from grouprisk.riskvar import FAIRNESS_AXIOMS
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "golden_api_digests.json")
+
+TRIALS = 100
+
+_SPECS = {
+    "expectation": AggregatorSpec.expectation(),
+    "cvar": AggregatorSpec.cvar(0.7),
+    "sd_penalty": AggregatorSpec.sd_penalty(1.5),
+    "top_k": AggregatorSpec.top_k(3),
+    "max": AggregatorSpec.max_value(),
+}
+
+_INDICES = {
+    "cvar_inequality": cvar_inequality(0.7),
+    "coefficient_of_variation": coefficient_of_variation(),
+    "spread_over_mean": spread_over_mean(),
+    "scaled_cv": from_deviation("scaled_cv(lambda=2.5)",
+                                lambda Z: 2.5 * sd_deviation(Z)),
+}
+
+# cvar levels within PROB_TOL of 0 and of 1 as well as inside
+_ALPHAS = {"1e-13": 1e-13, "0.3": 0.3, "0.9": 0.9, "1-1e-13": 1.0 - 1e-13}
+
+_VALUE_SPECS = {
+    "expectation": AggregatorSpec.expectation(),
+    **{f"cvar_{name}": AggregatorSpec.cvar(a) for name, a in _ALPHAS.items()},
+    "sd_penalty": AggregatorSpec.sd_penalty(0.5),
+    "top_k_1": AggregatorSpec.top_k(1),
+    "top_k_3": AggregatorSpec.top_k(3),
+    "max": AggregatorSpec.max_value(),
+}
+
+
+def corpus(size=300, seed=16):
+    """Seeded (values, probs) pairs of 1 to 40 atoms.
+
+    Values are continuous, or on a half-integer grid so that many tie;
+    about a fifth are zeros of either sign.  Every other pair puts equal
+    probability on its positive atoms, as top_k requires; about a fifth
+    of the atoms carry probability zero.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(size):
+        n = int(rng.integers(1, 41))
+        if i % 3 == 0:
+            values = rng.uniform(-5.0, 5.0, n)
+        else:
+            values = rng.integers(-4, 5, n) * 0.5
+        zeros = rng.random(n) < 0.2
+        negative = rng.random(n) < 0.5
+        values[zeros & negative] = -0.0
+        values[zeros & ~negative] = 0.0
+        if i % 2 == 0:
+            mass = np.ones(n)
+        else:
+            mass = rng.uniform(0.05, 1.0, n) ** 2
+        mass[rng.random(n) < 0.2] = 0.0
+        mass[int(rng.integers(0, n))] = 1.0
+        out.append((values, mass / mass.sum()))
+    return out
+
+
+def _line(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except GroupRiskError as exc:
+        return f"error: {exc}"
+
+
+def _corpus_case(fn):
+    return lambda: "\n".join(_line(fn, v, p) for v, p in corpus())
+
+
+def _report_case(falsifier, subject, axiom, seed):
+    return lambda: json.dumps(
+        falsifier(subject, axiom, TRIALS, seed).to_dict(), sort_keys=True)
+
+
+def cases() -> dict:
+    """Case name -> zero-argument function returning the canonical text."""
+    out = {}
+    # each falsifier case runs on its own seed, its index in this table
+    for kind, spec in _SPECS.items():
+        for ax in FAIRNESS_AXIOMS:
+            out[f"check_axiom_{kind}_{ax}"] = _report_case(
+                check_axiom, spec, ax, len(out))
+    for name, index in _INDICES.items():
+        for ax in INEQUALITY_AXIOMS:
+            out[f"check_inequality_axiom_{name}_{ax}"] = _report_case(
+                check_inequality_axiom, index, ax, len(out))
+    for name, spec in _VALUE_SPECS.items():
+        out[f"value_{name}"] = _corpus_case(spec.value)
+    for name, alpha in _ALPHAS.items():
+        out[f"cvar_{name}"] = _corpus_case(
+            lambda v, p, a=alpha: cvar(DiscreteRandomVariable(v, p), a))
+        out[f"quantile_{name}"] = _corpus_case(
+            lambda v, p, a=alpha: quantile(DiscreteRandomVariable(v, p), a))
+    return out
+
+
+def digest(name) -> str:
+    return hashlib.sha256(cases()[name]().encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def expected():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_golden_api(name, expected):
+    assert digest(name) == expected[name], (
+        f"{name}: print it with `python tests/test_golden_api.py --print "
+        f"{name}` here and at the parent commit, and diff")
+
+
+def test_every_api_case_has_a_digest(expected):
+    assert sorted(expected) == sorted(cases())
+
+
+def _main(argv):
+    all_cases = cases()
+    if argv[:1] == ["--digests"]:
+        print(json.dumps({n: digest(n) for n in sorted(all_cases)}, indent=1,
+                         sort_keys=True))
+    elif argv[:1] == ["--print"]:
+        for name in argv[1:] or sorted(all_cases):
+            print(f"== {name}")
+            print(all_cases[name]())
+    else:
+        print(__doc__)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))
