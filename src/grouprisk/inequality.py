@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (ParameterError, UndefinedMetricError,
                      UnsupportedAxiomError)
-from .riskvar import (DiscreteRandomVariable, FalsificationReport, _falsify,
-                      _tol, cvar_deviation, sd_deviation)
+from .riskvar import (DiscreteRandomVariable, FalsificationReport,
+                      _check_alpha, _cvar_value, _falsify, _moments, _tol)
 
 INEQUALITY_AXIOMS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I11")
 
@@ -46,13 +46,9 @@ def _as_income_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size < 1:
         raise ParameterError("income vectors need at least one entry")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+    if not np.isfinite(v).all() or (v < 0.0).any():
         raise ParameterError("income vector entries must be finite and >= 0")
     return v
-
-
-def _uniform_variable(x: np.ndarray) -> DiscreteRandomVariable:
-    return DiscreteRandomVariable(x, np.full(x.size, 1.0 / x.size))
 
 
 @dataclass(frozen=True)
@@ -66,33 +62,58 @@ class InequalityMeasure:
         return float(self.fn(_as_income_vector(x)))
 
 
+def _over_mean(deviation: Callable[[np.ndarray, np.ndarray], float]):
+    """Index v -> D(v)/E(v) on a validated vector; 0 at E = 0.
+
+    ``deviation`` takes the values and their uniform probabilities 1/n.
+    """
+
+    def index(v: np.ndarray) -> float:
+        mean = float(v.mean())
+        if mean == 0.0:
+            return 0.0
+        return float(deviation(v, np.full(v.size, 1.0 / v.size))) / mean
+
+    return index
+
+
 def inequality_from_deviation(x, deviation: Callable[[DiscreteRandomVariable],
                                                      float]) -> float:
     """Index D(X)/E(X) of a vector under a deviation measure; 0 at E = 0."""
-    v = _as_income_vector(x)
-    mean = float(v.mean())
-    if mean == 0.0:
-        return 0.0
-    return float(deviation(_uniform_variable(v))) / mean
+    return from_deviation("inequality_from_deviation", deviation)(x)
 
 
 def from_deviation(name: str,
                    deviation: Callable[[DiscreteRandomVariable], float]
                    ) -> InequalityMeasure:
     """Wrap any deviation measure on discrete variables as an index."""
-    return InequalityMeasure(name,
-                             lambda v: inequality_from_deviation(v, deviation))
+    return InequalityMeasure(name, _over_mean(
+        lambda v, p: deviation(DiscreteRandomVariable(v, p))))
 
 
 def coefficient_of_variation() -> InequalityMeasure:
-    """Standard deviation over mean, the index induced by sigma."""
-    return from_deviation("coefficient_of_variation", sd_deviation)
+    """Standard deviation over mean, the index induced by sigma.
+
+    Evaluated as ``_moments(v, p)[2] / v.mean()`` on the vector the
+    measure's call validated, with no ``DiscreteRandomVariable`` built:
+    the bits of ``from_deviation`` with ``sd_deviation``.
+    """
+    return InequalityMeasure("coefficient_of_variation",
+                             _over_mean(lambda v, p: _moments(v, p)[2]))
 
 
 def cvar_inequality(alpha: float) -> InequalityMeasure:
-    """Index induced by the cvar deviation at level alpha."""
-    return from_deviation(f"cvar_inequality(alpha={alpha})",
-                          lambda Z: cvar_deviation(Z, alpha))
+    """Index induced by the cvar deviation at level alpha in (0, 1).
+
+    Evaluated as ``(_cvar_value(v, p, alpha) - dot(v, p)) / v.mean()`` on
+    the vector the measure's call validated, with no
+    ``DiscreteRandomVariable`` built: the bits of ``from_deviation`` with
+    ``cvar_deviation``.  Up to ``SMALL_ATOMS`` entries the cvar takes its
+    plain-Python route.
+    """
+    _check_alpha(alpha)
+    return InequalityMeasure(f"cvar_inequality(alpha={alpha})", _over_mean(
+        lambda v, p: _cvar_value(v, p, alpha) - float(np.dot(v, p))))
 
 
 def spread_over_mean() -> InequalityMeasure:

@@ -13,7 +13,11 @@ its variational form
 which for a discrete variable is a piecewise-linear convex function of r
 whose minimum is attained at an atom value.  The implementation therefore
 evaluates the expression at every distinct atom value and takes the
-minimum; no interpolation or tail-count formula is involved.
+minimum; no interpolation or tail-count formula is involved.  It has two
+routes with the same bits: plain Python for up to ``SMALL_ATOMS`` finite
+atoms, where numpy's per-call overhead would dominate (the falsifiers
+evaluate a few atoms tens of thousands of times), and numpy beyond, as in
+training.
 
 Aggregators combine a variable into a scalar risk: plain expectation,
 cvar, expectation plus a standard-deviation penalty, the mean of the k
@@ -33,6 +37,7 @@ and nonnegativity of the induced deviation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +46,12 @@ import numpy as np
 from .errors import ParameterError
 
 PROB_TOL = 1e-12
+
+# Largest atom count for the plain-Python cvar route.  Measured on a 2-vCPU
+# x86 machine (Python 3.11, numpy 2.4): at 8 atoms it takes 3 us against
+# 22 us for the numpy route, and the two cost about the same (25-35 us)
+# near 64 distinct atoms.
+SMALL_ATOMS = 64
 
 # Falsifier tolerances: relative for equalities, slack for inequalities.
 AXIOM_TOL = 1e-9
@@ -290,8 +301,44 @@ def quantile(Z: DiscreteRandomVariable, alpha: float) -> float:
 
 
 def _cvar_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """Exact cvar of the atoms via the variational form, alpha in [0, 1)."""
+    """Exact cvar of the atoms via the variational form, alpha in [0, 1).
+
+    Up to ``SMALL_ATOMS`` finite atoms take the plain-Python route
+    ``_cvar_small``, the rest ``_merge`` and ``_cvar_merged``; both return
+    the same bits.
+    """
+    if values.size <= SMALL_ATOMS:
+        v = values.tolist()
+        # a finite sum rules out inf and NaN atoms
+        if math.isfinite(sum(v)):
+            return _cvar_small(v, probs.tolist(), alpha)
     return _cvar_merged(*_merge(values, probs), alpha)
+
+
+def _cvar_small(values: list, probs: list, alpha: float) -> float:
+    """``_cvar_merged(*_merge(values, probs), alpha)`` on Python floats.
+
+    Merges in index order, the order ``bincount`` adds in, and walks the
+    sorted distinct values from the top with running suffix sums seeded
+    like the reversed ``cumsum``, so every operation rounds as there.
+    """
+    merged = {}
+    for v, p in zip(values, probs):
+        merged[v] = merged.get(v, 0.0) + p
+    keys = sorted(merged)
+    inv = 1.0 / (1.0 - alpha)
+    top = keys.pop()
+    best = top + inv * (0.0 - top * 0.0)
+    tail_p = merged[top]
+    tail_pv = tail_p * top
+    for r in reversed(keys):
+        f = r + inv * (tail_pv - r * tail_p)
+        if f < best:
+            best = f
+        p = merged[r]
+        tail_p += p
+        tail_pv += p * r
+    return best
 
 
 def _cvar_merged(uv: np.ndarray, up: np.ndarray, alpha: float) -> float:

@@ -1,5 +1,7 @@
 """Hypothesis properties of ``AggregatorSpec.value`` and ``.weights``.
 
+Also: the two evaluation routes of the cvar value return the same bits.
+
 Atoms are drawn with zero probabilities, tied values and cvar levels
 within ``PROB_TOL`` of 0 left in.  ``test_aggregator_properties`` runs
 each property; see there why this module is imported late.
@@ -9,9 +11,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from grouprisk import AggregatorSpec, DiscreteRandomVariable, aggregate
-from grouprisk.riskvar import PROB_TOL
+from grouprisk.riskvar import PROB_TOL, _cvar_merged, _cvar_small, _merge
 
 VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-2.5, 0.0, 1.0]))
+# zeros of both signs as well
+SIGNED_ZERO_VALUES = st.one_of(st.floats(-1e3, 1e3),
+                               st.sampled_from([-2.5, -0.0, 0.0, 1.0]))
 ALPHAS = st.one_of(st.floats(0.0, 1e-11, exclude_min=True),
                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 # cvar levels within PROB_TOL of 1 as well
@@ -19,14 +24,14 @@ EDGE_ALPHAS = st.one_of(ALPHAS, st.floats(1.0 - PROB_TOL, 1.0, exclude_max=True)
 
 
 @st.composite
-def atoms(draw, equal=False):
+def atoms(draw, equal=False, values=VALUES, max_atoms=8):
     """(values, probs) with at least one positive-probability atom.
 
     ``equal`` puts the same probability on every positive atom, as top_k
     requires.
     """
-    n = draw(st.integers(1, 8))
-    values = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    n = draw(st.integers(1, max_atoms))
+    values = np.array(draw(st.lists(values, min_size=n, max_size=n)))
     if equal:
         mass = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
                                       min_size=n, max_size=n)))
@@ -144,3 +149,12 @@ def fused_call_matches_value_and_weights(case):
     assert _bits(value) == _bits(spec.value(values, probs))
     assert _bits(weights) == _bits(expected_weights)
     assert _bits(rho) == _bits(expected_rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms(values=SIGNED_ZERO_VALUES, max_atoms=16), EDGE_ALPHAS)
+def cvar_routes_agree(case, alpha):
+    # the plain-Python small-input route has the bits of the numpy route
+    values, probs = case
+    small = _cvar_small(values.tolist(), probs.tolist(), alpha)
+    assert _bits(small) == _bits(_cvar_merged(*_merge(values, probs), alpha))

@@ -35,3 +35,7 @@ def test_aggregate_is_spec_value():
 
 def test_fused_call_matches_value_and_weights():
     _properties().fused_call_matches_value_and_weights()
+
+
+def test_cvar_routes_agree():
+    _properties().cvar_routes_agree()
