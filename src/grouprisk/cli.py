@@ -10,7 +10,9 @@ the ``timings`` block.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -22,7 +24,7 @@ from .errors import (GroupRiskError, InputError, NumericalError,
 from .riskvar import (AggregatorSpec, FAIRNESS_AXIOMS, check_axiom,
                       sd_deviation)
 from .subgroup import LossSpec, partition
-from .optim import TrainConfig, TrainReport, train
+from .optim import TrainConfig, TrainReport, train, training_partition_mode
 from .metrics import evaluate
 from .data import CsvSchema, SynthSpec, generate_synth, load_csv, split, standardize
 from .inequality import (INEQUALITY_AXIOMS, check_inequality_axiom,
@@ -93,6 +95,7 @@ def _load_dataset(args):
 
 
 def _partition_mode(args) -> str:
+    """The data's partition: per instance for a real sensitive column."""
     if args.data != "synth" and args.sensitive_kind == "real":
         return "per_instance"
     return "categorical"
@@ -111,7 +114,8 @@ def _config(args, aggregator: AggregatorSpec) -> TrainConfig:
                        epochs=args.epochs,
                        step_size=args.lr,
                        step_decay=args.decay,
-                       partition_mode=_partition_mode(args))
+                       partition_mode=training_partition_mode(
+                           aggregator, _partition_mode(args)))
 
 
 def _prepare(args, dataset):
@@ -149,6 +153,27 @@ def _report_to_dict(report: TrainReport) -> dict:
     }
 
 
+def _check_output(output):
+    """Raise the ``--output`` error before any work if it cannot be written.
+
+    Looks at the path and permissions only, so nothing is created or
+    truncated; ``_emit`` still reports a write that fails later.
+    """
+    if output is None or output == "-":
+        return
+    parent = os.path.dirname(output) or "."
+    if os.path.isdir(output):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ParameterError(
+        f"--output {output}: cannot write ({os.strerror(reason)})")
+
+
 def _emit(text: str, output):
     if output is None or output == "-":
         sys.stdout.write(text)
@@ -173,7 +198,8 @@ def cmd_train(args) -> int:
     config = _config(args, _aggregator_from_flags(args))
     train_ds, test_ds, stratified = _prepare(args, dataset)
     report = train(config, train_ds)
-    mode = config.partition_mode
+    # evaluated on the data's groups, whatever partition training ran on
+    mode = _partition_mode(args)
     artifact = {
         "tool": "grouprisk",
         "version": __version__,
@@ -186,7 +212,7 @@ def cmd_train(args) -> int:
             "epochs": config.epochs,
             "step_size": config.step_size,
             "step_decay": config.step_decay,
-            "partition_mode": mode,
+            "partition_mode": config.partition_mode,
             "train_frac": args.train_frac,
             "stratified_split": stratified,
         },
@@ -361,6 +387,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_output(args.output)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import IngestionError, ParameterError
+from .errors import IngestionError, InputError, ParameterError
 from .subgroup import Dataset, first_appearance
 
 
@@ -102,8 +102,11 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult
     """
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError("train fraction must lie strictly in (0, 1)")
-    rng = np.random.default_rng(seed)
     m = dataset.m
+    if m < 2:
+        raise InputError(f"train fraction {train_fraction!r} leaves one side "
+                         f"of a {m}-row split empty")
+    rng = np.random.default_rng(seed)
     target = int(round(train_fraction * m))
     target = min(max(target, 1), m - 1)
 

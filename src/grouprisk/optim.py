@@ -123,6 +123,11 @@ def subgradient(model: LinearModel, rho: float, dataset: Dataset,
     return g_w, g_b, g_rho
 
 
+def training_partition_mode(aggregator: AggregatorSpec, mode: str) -> str:
+    """Partition mode ``train`` runs on: per instance for top_k, else ``mode``."""
+    return "per_instance" if aggregator.kind == "top_k" else mode
+
+
 def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     """Run subgradient descent and return the best iterate by objective.
 
@@ -130,7 +135,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     orders; identical config and dataset reproduce the report bit for bit.
     """
     spec = config.aggregator
-    mode = "per_instance" if spec.kind == "top_k" else config.partition_mode
+    mode = training_partition_mode(spec, config.partition_mode)
     part = partition(dataset, mode)
     X = dataset.features
     values_grads = config.loss._values_grads(dataset.labels)

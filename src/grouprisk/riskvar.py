@@ -100,10 +100,6 @@ class DiscreteRandomVariable:
         values = np.asarray(values, dtype=float).reshape(-1)
         return cls(values, np.full(values.size, 1.0 / values.size))
 
-    @classmethod
-    def constant(cls, value: float) -> "DiscreteRandomVariable":
-        return cls(np.array([float(value)]), np.array([1.0]))
-
     @property
     def atoms(self):
         return list(zip(self.values.tolist(), self.probs.tolist()))
@@ -185,7 +181,12 @@ class AggregatorSpec:
         return None if self.k == p.size else 1.0 - self.k / p.size
 
     def value(self, values: np.ndarray, probs: np.ndarray) -> float:
-        """Risk of the atoms (values, probs); zero-probability atoms do not count."""
+        """Risk of the atoms (values, probs); zero-probability atoms do not count.
+
+        For cvar and top_k, atoms that are not finite give nan if one is
+        NaN, else inf if one is +inf; -inf atoms give -inf when they hold
+        more than the level alpha (1 - k/n), else they drop out of the tail.
+        """
         if self.kind == "expectation":
             return float(np.dot(values, probs))
         if self.kind == "sd_penalty":
@@ -305,14 +306,27 @@ def _cvar_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
 
     Up to ``SMALL_ATOMS`` finite atoms take the plain-Python route
     ``_cvar_small``, the rest ``_merge`` and ``_cvar_merged``; both return
-    the same bits.
+    the same bits.  Atoms that are not finite get the variational form's
+    value in extended arithmetic, without numpy warnings, as
+    ``AggregatorSpec.value`` documents.
     """
     if values.size <= SMALL_ATOMS:
         v = values.tolist()
         # a finite sum rules out inf and NaN atoms
         if math.isfinite(sum(v)):
             return _cvar_small(v, probs.tolist(), alpha)
-    return _cvar_merged(*_merge(values, probs), alpha)
+    uv, up = _merge(values, probs)
+    # NaN sorts last and gives nan; else a +inf atom, always in the tail,
+    # gives inf
+    if not math.isfinite(uv[-1]):
+        return float(uv[-1])
+    if uv[0] == -math.inf:
+        # r + E[(Z - r)+]/(1 - alpha) falls without bound as r -> -inf
+        # exactly when the -inf atom holds more than alpha
+        if up[0] > alpha:
+            return -math.inf
+        uv, up = uv[1:], up[1:]
+    return _cvar_merged(uv, up, alpha)
 
 
 def _cvar_small(values: list, probs: list, alpha: float) -> float:
@@ -328,7 +342,8 @@ def _cvar_small(values: list, probs: list, alpha: float) -> float:
     keys = sorted(merged)
     inv = 1.0 / (1.0 - alpha)
     top = keys.pop()
-    best = top + inv * (0.0 - top * 0.0)
+    # f(top) = top + inv * (0.0 - top * 0.0), which turns -0.0 into +0.0
+    best = top + 0.0
     tail_p = merged[top]
     tail_pv = tail_p * top
     for r in reversed(keys):

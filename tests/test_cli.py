@@ -96,6 +96,26 @@ class TestTrainCommand:
         assert code == 2
         assert stdout == "" and err.startswith("error: --output") and out in err
 
+    def test_unwritable_output_found_before_loading_data(self, capsys,
+                                                         tmp_path):
+        out = str(tmp_path / "missing" / "run.json")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "no.csv"),
+                           "--label-col", "y", "--sensitive-col", "g",
+                           "--output", out)
+        assert code == 2
+        assert err.startswith("error: --output") and out in err
+
+    def test_output_check_creates_and_truncates_nothing(self, capsys,
+                                                         tmp_path):
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("previous run\n")
+        for out in (kept, fresh):
+            code, _, _ = run(capsys, "train", "--data", str(tmp_path / "no.csv"),
+                             "--label-col", "y", "--sensitive-col", "g",
+                             "--output", str(out))
+            assert code == 3
+        assert kept.read_text() == "previous run\n" and not fresh.exists()
+
     def test_numerical_error_exits_4(self, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, _ = run(capsys, "train", "--lr", "1e155", "--decay",
@@ -142,6 +162,16 @@ class TestTrainCommand:
                            "--epochs", "5")
         assert code == 2
         assert "--k" in err
+
+    def test_topk_artifact_names_the_partition_it_trained_on(self, capsys):
+        code, out, _ = run(capsys, "train", "--aggregator", "topk", "--k", "37",
+                           "--epochs", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["partition_mode"] == "per_instance"
+        assert len(doc["train"]["final_subgroup_risks"]["values"]) == 320
+        # evaluated on the data's two sensitive groups
+        assert len(doc["evaluation"]["test"]["subgroup_zero_one"]) == 2
 
     def test_real_sensitive_csv_trains_per_instance(self, capsys, tmp_path):
         rng = np.random.default_rng(1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grouprisk import (AggregatorSpec, CsvSchema, Dataset, IngestionError,
-                       LossSpec, ParameterError, SynthSpec, TrainConfig,
+                       InputError, LossSpec, ParameterError, SynthSpec, TrainConfig,
                        generate_synth, load_csv, partition, split, standardize,
                        train)
 from grouprisk.metrics import evaluate
@@ -280,6 +280,11 @@ class TestSplit:
         ds = generate_synth(SynthSpec(m=20, seed=0))
         with pytest.raises(ParameterError):
             split(ds, 1.0)
+
+    def test_one_row_names_the_empty_side(self):
+        ds = Dataset(np.ones((1, 1)), np.array([1.0]), np.array([0]))
+        with pytest.raises(InputError, match="leaves one side of a 1-row split"):
+            split(ds, 0.8)
 
     def test_deterministic(self):
         ds = generate_synth(SynthSpec(m=100, seed=0))

@@ -29,6 +29,18 @@ class TestIndexFromDeviation:
         with pytest.raises(ParameterError):
             CV([1.0, -2.0])
 
+    @pytest.mark.parametrize("x", [[1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]])
+    def test_every_public_path_rejects_bad_entries(self, x):
+        for index in (CV, cvar_inequality(0.5), spread_over_mean(),
+                      from_deviation("sd", sd_deviation),
+                      lambda v: inequality_from_deviation(v, sd_deviation)):
+            with pytest.raises(ParameterError):
+                index(x)
+
+    def test_cvar_index_rejects_its_level_when_built(self):
+        with pytest.raises(ParameterError):
+            cvar_inequality(1.0)
+
     def test_cv_matches_independent_computation(self, rng):
         for _ in range(100):
             x = rng.uniform(0.1, 10.0, int(rng.integers(2, 12)))

@@ -1,5 +1,7 @@
 """Unit tests for discrete variables and the risk/deviation measures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,21 @@ class TestAggregate:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert float(weights @ values) == pytest.approx(
             spec.value(values, probs), abs=1e-12)
+
+    @pytest.mark.parametrize("spec, values, probs, expected", [
+        (AggregatorSpec.cvar(0.5), [np.inf, 1.0], [0.5, 0.5], np.inf),
+        (AggregatorSpec.top_k(1), [1.0, np.inf], [0.5, 0.5], np.inf),
+        (AggregatorSpec.cvar(0.5), [np.inf, -np.inf], [0.5, 0.5], np.inf),
+        (AggregatorSpec.cvar(0.5), [np.inf, np.nan], [0.5, 0.5], np.nan),
+        # the upper half: 0.4 at 3 and 0.1 at 1
+        (AggregatorSpec.cvar(0.5), [-np.inf, 1.0, 3.0], [0.3, 0.3, 0.4], 2.6),
+        (AggregatorSpec.cvar(0.5), [-np.inf, 1.0], [0.6, 0.4], -np.inf),
+    ])
+    def test_tail_value_of_nonfinite_atoms(self, spec, values, probs, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spec.value(np.array(values), np.array(probs))
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
