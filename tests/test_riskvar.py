@@ -182,12 +182,19 @@ class TestAggregate:
         # the upper half: 0.4 at 3 and 0.1 at 1
         (AggregatorSpec.cvar(0.5), [-np.inf, 1.0, 3.0], [0.3, 0.3, 0.4], 2.6),
         (AggregatorSpec.cvar(0.5), [-np.inf, 1.0], [0.6, 0.4], -np.inf),
+        # alpha = 1 - 9/10 rounds below 0.1: the top 9 atoms are still finite
+        (AggregatorSpec.top_k(9), [-np.inf] + list(range(1, 10)), [0.1] * 10,
+         5.0),
     ])
     def test_tail_value_of_nonfinite_atoms(self, spec, values, probs, expected):
+        values, probs = np.array(values, dtype=float), np.array(probs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = spec.value(np.array(values), np.array(probs))
+            got = spec.value(values, probs)
+            fused = spec._value_weights(values, probs)[0]
         np.testing.assert_allclose(got, expected, rtol=1e-15)
+        # training's fused call gives the same value
+        np.testing.assert_array_equal(fused, got)
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
