@@ -184,18 +184,27 @@ class AggregatorSpec:
     def value(self, values: np.ndarray, probs: np.ndarray) -> float:
         """Risk of the atoms (values, probs); zero-probability atoms do not count.
 
+        With no positive-probability atom, cvar, top_k and max raise
+        ``ParameterError``; expectation and sd_penalty return 0.0.
+
         For cvar and top_k, atoms that are not finite give nan if one is
         NaN, else inf if one is +inf; -inf atoms give -inf when they hold
         more than the level alpha (1 - k/n) by over ``PROB_TOL``, else they
-        drop out of the tail.
+        drop out of the tail.  sd_penalty gives nan if a positive-probability
+        atom is NaN, or if there are both +inf and -inf ones; otherwise an
+        infinite atom makes the sd inf unless every atom is equal, so
+        mean + lam * sd is inf with a +inf atom, and with -inf atoms -inf
+        when lam = 0 or every atom is -inf, else nan (-inf + inf).
         """
         if self.kind == "expectation":
             return float(np.dot(values, probs))
         if self.kind == "sd_penalty":
+            # a finite sum rules out inf and NaN atoms, whose moments warn
+            if not _finite_sum(values):
+                return _sd_penalty_extended(values, probs, self.lam)
             mean, _, sd = _moments(values, probs)
             return mean + self.lam * sd
-        mask = probs > 0.0
-        v, p = values[mask], probs[mask]
+        _, v, p = _positive_atoms(values, probs)
         if self.kind == "max":
             return float(v.max())
         alpha = self._tail_level(p)
@@ -220,8 +229,7 @@ class AggregatorSpec:
             if sd > 0.0:
                 return probs * (1.0 + self.lam * centred / sd), None
             return probs.copy(), None
-        mask = probs > 0.0
-        v, p = values[mask], probs[mask]
+        mask, v, p = _positive_atoms(values, probs)
         if self.kind == "max":
             top = mask & (values >= v.max() - 1e-12)
             return top / float(top.sum()), None
@@ -234,15 +242,17 @@ class AggregatorSpec:
     def _value_weights(self, values: np.ndarray, probs: np.ndarray):
         """(``value``, weights, rho) with the bits of ``value`` and ``weights``.
 
-        cvar and top_k merge the atoms once for both the value and rho, and
-        give no weights (None) when the value is not finite: a NaN quantile
-        has no atom at it to carry the tail share.  Atoms that are not
-        finite get ``value``'s value too, through ``_cvar_extended``.
+        cvar and top_k merge the atoms once for both the value and rho.  No
+        kind gives weights (None) when the value is not finite: a NaN
+        quantile has no atom at it to carry the tail share, and the moments
+        of infinite atoms are not numbers.
         """
         if self.kind not in ("cvar", "top_k"):
-            return (self.value(values, probs), *self.weights(values, probs))
-        mask = probs > 0.0
-        v, p = values.compress(mask), probs.compress(mask)
+            value = self.value(values, probs)
+            if not math.isfinite(value):
+                return value, None, None
+            return (value, *self.weights(values, probs))
+        mask, v, p = _positive_atoms(values, probs)
         alpha = self._tail_level(p)
         if alpha is None:
             return float(np.dot(v, p)), probs, None
@@ -253,6 +263,47 @@ class AggregatorSpec:
         if not np.isfinite(value):
             return value, None, rho
         return value, _envelope(values, probs, alpha, rho), rho
+
+
+def _positive_atoms(values: np.ndarray, probs: np.ndarray):
+    """The mask of positive probabilities and the atoms it keeps.
+
+    Raises ``ParameterError`` when it keeps none.  A boolean index beats
+    ``compress`` on masks that keep nearly every atom, as this one does.
+    """
+    mask = probs > 0.0
+    v = values[mask]
+    if not v.size:
+        raise ParameterError("no atom has positive probability")
+    return mask, v, probs[mask]
+
+
+def _finite_sum(values: np.ndarray) -> bool:
+    """False when a value is inf or NaN, and up to ``SMALL_ATOMS`` values
+    also when their finite sum overflows: there a Python sum costs less
+    than a numpy call."""
+    if values.size <= SMALL_ATOMS:
+        return math.isfinite(sum(values.tolist()))
+    return bool(np.isfinite(values).all())
+
+
+def _sd_penalty_extended(values: np.ndarray, probs: np.ndarray,
+                         lam: float) -> float:
+    """sd_penalty's value when ``_finite_sum`` fails, as ``value`` documents."""
+    mask = probs > 0.0
+    v, p = values[mask], probs[mask]
+    if not v.size:
+        return 0.0
+    lo, hi = float(v.min()), float(v.max())
+    if math.isfinite(lo) and math.isfinite(hi):
+        # zero-probability atoms held the non-finite values, or the sum of
+        # finite ones overflowed
+        mean, _, sd = _moments(v, p)
+        return mean + lam * sd
+    if math.isnan(lo) or math.isnan(hi) or (lo == -math.inf and hi == math.inf):
+        return math.nan
+    mean = hi if hi == math.inf else lo
+    return mean + lam * math.inf if lam > 0.0 and lo != hi else mean
 
 
 def expectation(Z: DiscreteRandomVariable) -> float:

@@ -21,17 +21,23 @@ def grid_cvar(Z, alpha, n_points=100_000):
     uniform grid spanning the support, augmented with the atom values
     (the objective is piecewise linear, so its kinks are the only
     candidate minimisers a uniform grid can miss).  Suffix sums over the
-    sorted, unmerged atoms keep the sweep fast.
+    sorted, unmerged atoms keep the sweep fast; the minimum is taken over
+    the uniform points and the atom values separately, which is the
+    minimum over their union without sorting it.
     """
     v, p = Z.support()
     order = np.argsort(v, kind="mergesort")
     v, p = v[order], p[order]
     suffix_p = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
     suffix_pv = np.concatenate([np.cumsum((p * v)[::-1])[::-1], [0.0]])
-    grid = np.union1d(np.linspace(v.min(), v.max(), n_points), v)
-    idx = np.searchsorted(v, grid, side="right")
-    f = grid + (suffix_pv[idx] - grid * suffix_p[idx]) / (1.0 - alpha)
-    return float(f.min())
+
+    def f_min(grid):
+        idx = np.searchsorted(v, grid, side="right")
+        return (grid + (suffix_pv[idx] - grid * suffix_p[idx])
+                / (1.0 - alpha)).min()
+
+    return float(min(f_min(np.linspace(v.min(), v.max(), n_points)),
+                     f_min(v)))
 
 
 @pytest.fixture

@@ -185,6 +185,19 @@ class TestAggregate:
         # alpha = 1 - 9/10 rounds below 0.1: the top 9 atoms are still finite
         (AggregatorSpec.top_k(9), [-np.inf] + list(range(1, 10)), [0.1] * 10,
          5.0),
+        # sd_penalty: an infinite atom makes the sd infinite
+        (AggregatorSpec.sd_penalty(1.0), [np.inf, 1.0], [0.5, 0.5], np.inf),
+        (AggregatorSpec.sd_penalty(0.0), [np.inf, 1.0], [0.5, 0.5], np.inf),
+        (AggregatorSpec.sd_penalty(1.0), [np.nan, 1.0], [0.5, 0.5], np.nan),
+        (AggregatorSpec.sd_penalty(2.0), [np.inf, -np.inf], [0.5, 0.5], np.nan),
+        # -inf mean plus an infinite penalty
+        (AggregatorSpec.sd_penalty(1.0), [-np.inf, 1.0], [0.5, 0.5], np.nan),
+        (AggregatorSpec.sd_penalty(0.0), [-np.inf, 1.0], [0.5, 0.5], -np.inf),
+        (AggregatorSpec.sd_penalty(1.0), [-np.inf, -np.inf], [0.5, 0.5],
+         -np.inf),
+        # a zero-probability NaN atom does not count: mean 2, sd 1
+        (AggregatorSpec.sd_penalty(1.0), [np.nan, 1.0, 3.0], [0.0, 0.5, 0.5],
+         3.0),
     ])
     def test_tail_value_of_nonfinite_atoms(self, spec, values, probs, expected):
         values, probs = np.array(values, dtype=float), np.array(probs)
@@ -195,6 +208,22 @@ class TestAggregate:
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         # training's fused call gives the same value
         np.testing.assert_array_equal(fused, got)
+
+    @pytest.mark.parametrize("spec", [AggregatorSpec.cvar(0.5),
+                                      AggregatorSpec.top_k(1),
+                                      AggregatorSpec.max_value()])
+    def test_no_positive_probability_atom(self, spec):
+        values, probs = np.array([1.0, 2.0]), np.array([0.0, 0.0])
+        for call in (spec.value, spec.weights, spec._value_weights):
+            with pytest.raises(ParameterError,
+                               match="no atom has positive probability"):
+                call(values, probs)
+
+    def test_no_positive_probability_atom_sums_to_zero(self):
+        values, probs = np.array([1.0, 2.0]), np.array([0.0, 0.0])
+        for spec in (AggregatorSpec.expectation(),
+                     AggregatorSpec.sd_penalty(1.0)):
+            assert spec.value(values, probs) == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
