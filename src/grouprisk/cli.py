@@ -21,14 +21,14 @@ import numpy as np
 from . import __version__
 from .errors import (GroupRiskError, InputError, NumericalError,
                      ParameterError)
-from .riskvar import AggregatorSpec, FAIRNESS_AXIOMS, _moments, check_axiom
+from .riskvar import AggregatorSpec, FAIRNESS_AXIOMS, check_axiom
 from .subgroup import LossSpec, partition
 from .optim import TrainConfig, TrainReport, train, training_partition_mode
 from .metrics import evaluate
 from .data import CsvSchema, SynthSpec, generate_synth, load_csv, split, standardize
-from .inequality import (INEQUALITY_AXIOMS, InequalityMeasure, _over_mean,
-                         check_inequality_axiom, coefficient_of_variation,
-                         cvar_inequality)
+from .inequality import (INEQUALITY_AXIOMS, check_inequality_axiom,
+                         coefficient_of_variation, cvar_inequality,
+                         from_deviation)
 
 SWEEP_HEADER = ("alpha,risk,subgroup_gap,dp_violation,mean_difference,"
                 "pairwise_disagreement")
@@ -289,14 +289,11 @@ def cmd_axioms(args) -> int:
             results[ax] = rep.to_dict()
     else:
         if family == "expectation":
-            index = InequalityMeasure("zero_deviation",
-                                      _over_mean(lambda v, p: 0.0))
+            index = from_deviation("zero_deviation", lambda Z: 0.0)
         elif family == "cvar":
             index = cvar_inequality(param)
         else:
-            index = (coefficient_of_variation() if param == 1.0 else
-                     InequalityMeasure(f"scaled_cv(lambda={param})", _over_mean(
-                         lambda v, p, _l=param: _l * _moments(v, p)[2])))
+            index = coefficient_of_variation(param)
         expected_failures = INEQUALITY_EXPECTED_FAILURES[family]
         for i, ax in enumerate(INEQUALITY_AXIOMS):
             rep = check_inequality_axiom(index, ax, args.trials, seed=args.seed + i)

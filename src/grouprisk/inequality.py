@@ -91,15 +91,18 @@ def from_deviation(name: str,
         lambda v, p: deviation(DiscreteRandomVariable(v, p))))
 
 
-def coefficient_of_variation() -> InequalityMeasure:
-    """Standard deviation over mean, the index induced by sigma.
+def coefficient_of_variation(lam: float = 1.0) -> InequalityMeasure:
+    """Standard deviation over mean, the index induced by sigma, scaled by
+    ``lam``; any lam other than 1 names it ``scaled_cv(lambda=lam)``.
 
-    Evaluated as ``_moments(v, p)[2] / v.mean()`` on the vector the
+    Evaluated as ``lam * _moments(v, p)[2] / v.mean()`` on the vector the
     measure's call validated, with no ``DiscreteRandomVariable`` built:
-    the bits of ``from_deviation`` with ``sd_deviation``.
+    the bits of ``from_deviation`` with ``lam * sd_deviation``.
     """
-    return InequalityMeasure("coefficient_of_variation",
-                             _over_mean(lambda v, p: _moments(v, p)[2]))
+    name = ("coefficient_of_variation" if lam == 1.0 else
+            f"scaled_cv(lambda={lam})")
+    return InequalityMeasure(name,
+                             _over_mean(lambda v, p: lam * _moments(v, p)[2]))
 
 
 def cvar_inequality(alpha: float) -> InequalityMeasure:

@@ -199,11 +199,12 @@ class AggregatorSpec:
         if self.kind == "expectation":
             return float(np.dot(values, probs))
         if self.kind == "sd_penalty":
-            # a finite sum rules out inf and NaN atoms, whose moments warn
-            if not _finite_sum(values):
+            mean = _quiet_mean(values, probs)
+            # an inf or NaN atom, even at zero probability, makes the mean
+            # non-finite; the moments of such atoms warn
+            if not math.isfinite(mean):
                 return _sd_penalty_extended(values, probs, self.lam)
-            mean, _, sd = _moments(values, probs)
-            return mean + self.lam * sd
+            return mean + self.lam * _moments(values, probs, mean)[2]
         _, v, p = _positive_atoms(values, probs)
         if self.kind == "max":
             return float(v.max())
@@ -220,15 +221,25 @@ class AggregatorSpec:
         above rho and the fractional share on the atoms at rho that brings
         the tail mass to 1 - alpha.  max spreads the weight evenly over the
         atoms within 1e-12 of the largest; sd_penalty returns
-        p(1 + lam (v - mean)/sd), or p on a constant variable.
+        p(1 + lam (v - mean)/sd), or p on a constant variable.  When an atom
+        is inf or NaN, dot(c, values) is not a number; sd_penalty then
+        gives zero-probability atoms weight 0 and the others the weights of
+        the positive-probability atoms alone, or NaN if one of those is not
+        finite.
         """
         if self.kind == "expectation":
             return probs, None
         if self.kind == "sd_penalty":
-            _, centred, sd = _moments(values, probs)
-            if sd > 0.0:
-                return probs * (1.0 + self.lam * centred / sd), None
-            return probs.copy(), None
+            mean = _quiet_mean(values, probs)
+            if math.isfinite(mean):
+                return _sd_weights(values, probs, self.lam, mean), None
+            mask = probs > 0.0
+            v, p = values[mask], probs[mask]
+            mean = _quiet_mean(v, p)
+            weights = np.zeros_like(probs)
+            weights[mask] = (_sd_weights(v, p, self.lam, mean)
+                             if math.isfinite(mean) else math.nan)
+            return weights, None
         mask, v, p = _positive_atoms(values, probs)
         if self.kind == "max":
             top = mask & (values >= v.max() - 1e-12)
@@ -278,25 +289,33 @@ def _positive_atoms(values: np.ndarray, probs: np.ndarray):
     return mask, v, probs[mask]
 
 
-def _finite_sum(values: np.ndarray) -> bool:
-    """False when a value is inf or NaN, and up to ``SMALL_ATOMS`` values
-    also when their finite sum overflows: there a Python sum costs less
-    than a numpy call."""
-    if values.size <= SMALL_ATOMS:
-        return math.isfinite(sum(values.tolist()))
-    return bool(np.isfinite(values).all())
+def _quiet_mean(values: np.ndarray, probs: np.ndarray) -> float:
+    """dot(values, probs) with nan, not a RuntimeWarning, for inf - inf and
+    0 * inf: ``np.vdot`` runs the same ddot as ``np.dot`` on 1-D float
+    arrays but does not check the floating-point status."""
+    return float(np.vdot(values, probs))
+
+
+def _sd_weights(values: np.ndarray, probs: np.ndarray, lam: float,
+                mean: float) -> np.ndarray:
+    """p(1 + lam (v - mean)/sd), or p on a constant variable."""
+    _, centred, sd = _moments(values, probs, mean)
+    if sd > 0.0:
+        return probs * (1.0 + lam * centred / sd)
+    return probs.copy()
 
 
 def _sd_penalty_extended(values: np.ndarray, probs: np.ndarray,
                          lam: float) -> float:
-    """sd_penalty's value when ``_finite_sum`` fails, as ``value`` documents."""
+    """sd_penalty's value when the mean of all atoms is not finite, as
+    ``value`` documents."""
     mask = probs > 0.0
     v, p = values[mask], probs[mask]
     if not v.size:
         return 0.0
     lo, hi = float(v.min()), float(v.max())
     if math.isfinite(lo) and math.isfinite(hi):
-        # zero-probability atoms held the non-finite values, or the sum of
+        # zero-probability atoms held the non-finite values, or the mean of
         # finite ones overflowed
         mean, _, sd = _moments(v, p)
         return mean + lam * sd
@@ -311,9 +330,14 @@ def expectation(Z: DiscreteRandomVariable) -> float:
     return float(np.dot(Z.values, Z.probs))
 
 
-def _moments(values: np.ndarray, probs: np.ndarray):
-    """Mean, centred values and standard deviation of the atoms."""
-    mean = float(np.dot(values, probs))
+def _moments(values: np.ndarray, probs: np.ndarray,
+             mean: Optional[float] = None):
+    """Mean, centred values and standard deviation of the atoms.
+
+    ``mean``, when given, is dot(values, probs) computed by the caller.
+    """
+    if mean is None:
+        mean = float(np.dot(values, probs))
     centred = values - mean
     return mean, centred, float(np.sqrt(np.dot(probs, centred * centred)))
 

@@ -47,6 +47,15 @@ class TestIndexFromDeviation:
             direct = float(np.sqrt(np.mean((x - x.mean()) ** 2)) / x.mean())
             assert CV(x) == pytest.approx(direct, abs=1e-12)
 
+    def test_scaled_cv_has_the_bits_of_the_wrapped_deviation(self, rng):
+        scaled = coefficient_of_variation(2.5)
+        wrapped = from_deviation("wrapped", lambda Z: 2.5 * sd_deviation(Z))
+        assert scaled.name == "scaled_cv(lambda=2.5)"
+        assert coefficient_of_variation(1.0).name == "coefficient_of_variation"
+        for _ in range(100):
+            x = rng.uniform(0.1, 10.0, int(rng.integers(2, 12)))
+            assert scaled(x) == wrapped(x)
+
 
 class TestRoundTrips:
     def test_deviation_recovers_sigma(self):

@@ -198,16 +198,25 @@ class TestAggregate:
         # a zero-probability NaN atom does not count: mean 2, sd 1
         (AggregatorSpec.sd_penalty(1.0), [np.nan, 1.0, 3.0], [0.0, 0.5, 0.5],
          3.0),
+        (AggregatorSpec.sd_penalty(1.0), [1.0, np.inf, 3.0], [0.5, 0.0, 0.5],
+         3.0),
     ])
     def test_tail_value_of_nonfinite_atoms(self, spec, values, probs, expected):
         values, probs = np.array(values, dtype=float), np.array(probs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = spec.value(values, probs)
-            fused = spec._value_weights(values, probs)[0]
+            fused, weights, _ = spec._value_weights(values, probs)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
-        # training's fused call gives the same value
+        # training's fused call gives the same value, and finite weights
+        # with it or none
         np.testing.assert_array_equal(fused, got)
+        if np.isfinite(got):
+            assert np.isfinite(weights).all()
+            # zero-probability atoms get no weight
+            assert not weights[probs == 0.0].any()
+        else:
+            assert weights is None
 
     @pytest.mark.parametrize("spec", [AggregatorSpec.cvar(0.5),
                                       AggregatorSpec.top_k(1),
