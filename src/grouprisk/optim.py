@@ -14,6 +14,11 @@ where it is cvar at alpha = 1 - k/m (the plain mean at k = m), so its
 objectives and optimisation traces coincide with per-instance cvar
 training at that alpha.
 
+On the per-instance partition every group has probability exactly 1/m,
+so the tail level (alpha, or 1 - k/m) is fixed once per run, and each
+epoch merges tied risks with one sort instead of ``np.unique`` and a
+``bincount`` (``riskvar._merge_equal``, with the same bits).
+
 At the exact rho the quantile atom itself is active with the fractional
 tail weight ((1 - alpha) - P[risk > rho]) / P[risk = rho], so the descent
 direction stays informative when several groups tie (in particular at the
@@ -144,6 +149,10 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     # objectives[i] belongs to iterate i; pass i records it, then steps
     objectives = np.empty(config.epochs + 1)
     best_epoch = 0
+    # every singleton group has probability exactly 1/m and every risk is
+    # + 0.0-normalised: fix the tail level and the merged probabilities of
+    # tied risks for the run
+    equal = spec._equal_atoms(part.probs) if mode == "per_instance" else None
     # overflow surfaces as a non-finite objective, raised as NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
@@ -158,7 +167,8 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
             else:
                 risks = part.means(values)
             del values
-            value, coef_group, rho = spec._value_weights(risks, part.probs)
+            value, coef_group, rho = spec._value_weights(risks, part.probs,
+                                                         equal)
             obj = value + _l2_term(w, config.l2_reg)
             if not np.isfinite(obj):
                 raise NumericalError(

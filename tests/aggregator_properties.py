@@ -1,17 +1,22 @@
 """Hypothesis properties of ``AggregatorSpec.value`` and ``.weights``.
 
-Also: the two evaluation routes of the cvar value return the same bits.
+Also: the two evaluation routes of the cvar value return the same bits,
+and so do the two atom merges and the training epoch's equal-probability
+route.
 
 Atoms are drawn with zero probabilities, tied values and cvar levels
 within ``PROB_TOL`` of 0 left in.  ``test_aggregator_properties`` runs
 each property; see there why this module is imported late.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from grouprisk import AggregatorSpec, DiscreteRandomVariable, aggregate
-from grouprisk.riskvar import PROB_TOL, _cvar_merged, _cvar_small, _merge
+from grouprisk.riskvar import (PROB_TOL, _cvar_merged, _cvar_small, _merge,
+                               _merge_equal)
 
 VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-2.5, 0.0, 1.0]))
 # zeros of both signs as well
@@ -21,6 +26,10 @@ ALPHAS = st.one_of(st.floats(0.0, 1e-11, exclude_min=True),
                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 # cvar levels within PROB_TOL of 1 as well
 EDGE_ALPHAS = st.one_of(ALPHAS, st.floats(1.0 - PROB_TOL, 1.0, exclude_max=True))
+# infinities and NaN as well, as training's risks may hold
+EXTENDED_VALUES = st.one_of(st.floats(-1e3, 1e3),
+                            st.sampled_from([-2.5, 0.0, 1.0, math.inf,
+                                             -math.inf, math.nan]))
 
 
 @st.composite
@@ -158,3 +167,44 @@ def cvar_routes_agree(case, alpha):
     values, probs = case
     small = _cvar_small(values.tolist(), probs.tolist(), alpha)
     assert _bits(small) == _bits(_cvar_merged(*_merge(values, probs), alpha))
+
+
+@st.composite
+def tied_values(draw):
+    """+0.0-normalised values, as training passes them: 1 to 300 draws
+    from a pool of 1 to 5 values, so that runs of many lengths tie (all of
+    them with a pool of one), or up to 64 free draws."""
+    if draw(st.booleans()):
+        values = draw(st.lists(EXTENDED_VALUES, min_size=1, max_size=64))
+    else:
+        pool = draw(st.lists(EXTENDED_VALUES, min_size=1, max_size=5))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                              max_size=300))
+        values = [pool[i] for i in picks]
+    return np.array(values) + 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_values(), st.one_of(st.none(), st.floats(1e-9, 1.0)))
+def equal_merge_matches_merge(values, p0):
+    # the sort-based merge has the bits of np.unique and bincount
+    probs = np.full(values.size, 1.0 / values.size if p0 is None else p0)
+    uv, up = _merge_equal(values, np.cumsum(probs))
+    expected_uv, expected_up = _merge(values, probs)
+    assert _bits(uv) == _bits(expected_uv)
+    assert _bits(up) == _bits(expected_up)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_values(), EDGE_ALPHAS, st.data())
+def equal_atoms_route_matches_fused_call(values, alpha, data):
+    # training's per-instance call, with the level and the merged
+    # probabilities fixed once, has the bits of the general call
+    n = values.size
+    probs = np.full(n, 1.0 / n)
+    spec = data.draw(st.sampled_from([AggregatorSpec.cvar(alpha),
+                                      AggregatorSpec.top_k(
+                                          data.draw(st.integers(1, n)))]))
+    got = spec._value_weights(values, probs, spec._equal_atoms(probs))
+    expected = spec._value_weights(values, probs)
+    assert [_bits(x) for x in got] == [_bits(x) for x in expected]

@@ -39,3 +39,11 @@ def test_fused_call_matches_value_and_weights():
 
 def test_cvar_routes_agree():
     _properties().cvar_routes_agree()
+
+
+def test_equal_merge_matches_merge():
+    _properties().equal_merge_matches_merge()
+
+
+def test_equal_atoms_route_matches_fused_call():
+    _properties().equal_atoms_route_matches_fused_call()

@@ -8,13 +8,21 @@ expectation, cvar and sd_penalty.  This suite pins, one SHA-256 per case:
   inequality axiom;
 - ``AggregatorSpec.value``, ``cvar`` and ``quantile`` over a seeded corpus
   of 1 to 40 atoms with tied values, -0.0 next to +0.0 and zero
-  probabilities.
+  probabilities;
+- ``train`` reports (objective trace, weights, intercept, rho, final
+  risks and metrics) for top_k at four k, and for per-instance and
+  categorical cvar at four alphas, under the four training losses at
+  m = 1, 7 and 400 rows; the rows repeat, so per-instance risks tie in
+  runs of many lengths.  Also a 3000-row hinge run where most risks tie
+  at exactly 0, and a per-instance run whose objective overflows, pinned
+  by its ``NumericalError`` and partial trace.
 
-A case's canonical text is the report's JSON (sorted keys) or one
-``repr`` per corpus entry, so every bit of every float counts.  Errors are
-part of the output as ``error: ...`` lines.  The digests pin the numpy and
-BLAS build they were made with: regenerate them only after an
-environment change, and name any case whose digest a code change alters.
+A case's canonical text is the report's JSON (sorted keys), one
+``repr`` per corpus entry or one ``repr`` per training run, so every bit
+of every float counts.  Errors are part of the output as ``error: ...``
+lines.  The digests pin the numpy and BLAS build they were made with:
+regenerate them only after an environment change, and name any case
+whose digest a code change alters.
 
     python tests/test_golden_api.py --print CASE...   # canonical outputs
     python tests/test_golden_api.py --digests         # digests as JSON
@@ -28,10 +36,11 @@ import sys
 import numpy as np
 import pytest
 
-from grouprisk import (AggregatorSpec, DiscreteRandomVariable, check_axiom,
+from grouprisk import (AggregatorSpec, Dataset, DiscreteRandomVariable,
+                       LossSpec, TrainConfig, check_axiom,
                        check_inequality_axiom, coefficient_of_variation, cvar,
                        cvar_inequality, from_deviation, quantile,
-                       sd_deviation, spread_over_mean)
+                       sd_deviation, spread_over_mean, train)
 from grouprisk.errors import GroupRiskError
 from grouprisk.inequality import INEQUALITY_AXIOMS
 from grouprisk.riskvar import FAIRNESS_AXIOMS
@@ -100,6 +109,78 @@ def corpus(size=300, seed=16):
     return out
 
 
+_TRAIN_LOSSES = ("hinge", "squared_hinge", "logistic", "linear")
+
+_TRAIN_SIZES = (1, 7, 400)
+
+
+def train_dataset(m, seed, scale=1.0):
+    """m rows drawn with repetition from about m/4 distinct seeded rows,
+    features times ``scale``, three categorical groups."""
+    rng = np.random.default_rng(seed)
+    pool = max(1, m // 4)
+    X = rng.normal(size=(pool, 3)) * scale
+    y = rng.choice([-1.0, 1.0], size=pool)
+    rows = rng.integers(0, pool, m)
+    return Dataset(X[rows], y[rows], rng.integers(0, 3, m))
+
+
+def separable_dataset(m, seed):
+    """m distinct rows labelled by a linear rule with a wide margin, so
+    that training drives most hinge losses to exactly 0."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, 3)) * 3.0
+    y = np.where(X @ np.array([1.0, -2.0, 0.5]) > 0.0, 1.0, -1.0)
+    return Dataset(X, y, np.zeros(m, dtype=int))
+
+
+def _train_line(aggregator, loss, dataset, mode="per_instance", **kw) -> str:
+    options = dict(l2_reg=1e-4, epochs=25, step_size=0.5,
+                   step_decay="inv_sqrt", partition_mode=mode)
+    options.update(kw)
+    config = TrainConfig(aggregator=aggregator, loss=LossSpec(loss), **options)
+    try:
+        r = train(config, dataset)
+    except GroupRiskError as exc:
+        trace = getattr(exc, "trace", None)
+        return f"error: {exc}; trace {None if trace is None else trace.tolist()!r}"
+    risks = r.final_subgroup_risks
+    return repr((r.objective_trace.tolist(), r.model.weights.tolist(),
+                 r.model.intercept, r.rho, risks.values.tolist(),
+                 risks.probs.tolist(), sorted(r.metrics.items())))
+
+
+def _train_case(loss, m, runs):
+    """Case text: one line per (aggregator, mode) run on one dataset."""
+    def text():
+        ds = train_dataset(m, seed=10 * m + _TRAIN_LOSSES.index(loss))
+        return "\n".join(_train_line(agg, loss, ds, mode) for agg, mode in runs)
+    return text
+
+
+def _train_cases() -> dict:
+    out = {}
+    for m in _TRAIN_SIZES:
+        top_ks = sorted({max(1, k) for k in (1, m // 3, 9 * m // 10, m)})
+        for loss in _TRAIN_LOSSES:
+            out[f"train_top_k_{loss}_m{m}"] = _train_case(
+                loss, m, [(AggregatorSpec.top_k(k), "per_instance")
+                          for k in top_ks])
+            for mode in ("per_instance", "categorical"):
+                out[f"train_cvar_{mode}_{loss}_m{m}"] = _train_case(
+                    loss, m, [(AggregatorSpec.cvar(a), mode)
+                              for a in _ALPHAS.values()])
+    out["train_hinge_ties_m3000"] = lambda: _train_line(
+        AggregatorSpec.top_k(2700), "hinge", separable_dataset(3000, 5),
+        epochs=30)
+    # scores near 1e30 make the squared hinge oscillate until it overflows
+    out["train_overflow"] = lambda: _train_line(
+        AggregatorSpec.cvar(0.5), "squared_hinge",
+        train_dataset(50, 3, scale=1e30), step_size=1.0,
+        step_decay="constant", epochs=200)
+    return out
+
+
 def _line(fn, *args) -> str:
     try:
         return repr(fn(*args))
@@ -135,6 +216,7 @@ def cases() -> dict:
             lambda v, p, a=alpha: cvar(DiscreteRandomVariable(v, p), a))
         out[f"quantile_{name}"] = _corpus_case(
             lambda v, p, a=alpha: quantile(DiscreteRandomVariable(v, p), a))
+    out.update(_train_cases())
     return out
 
 

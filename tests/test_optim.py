@@ -163,6 +163,12 @@ class TestTrain:
         with pytest.raises(ParameterError):
             config(AggregatorSpec.cvar(0.5), loss="zero_one")
 
+    def test_top_k_above_row_count_rejected(self, rng):
+        ds = two_group_dataset(rng, m=10)
+        with pytest.raises(ParameterError,
+                           match="top_k with k=11 exceeds 10 atoms"):
+            train(config(AggregatorSpec.top_k(11)), ds)
+
     def test_single_group_cvar_matches_expectation_training(self, rng):
         ds = Dataset(rng.normal(size=(30, 2)), rng.choice([-1.0, 1.0], 30),
                      np.zeros(30, dtype=int))

@@ -200,6 +200,15 @@ class TestAggregate:
          3.0),
         (AggregatorSpec.sd_penalty(1.0), [1.0, np.inf, 3.0], [0.5, 0.0, 0.5],
          3.0),
+        # expectation: only positive-probability atoms count
+        (AggregatorSpec.expectation(), [np.inf, 1.0], [0.0, 1.0], 1.0),
+        (AggregatorSpec.expectation(), [np.nan, 1.0, 3.0], [0.0, 0.5, 0.5],
+         2.0),
+        (AggregatorSpec.expectation(), [np.inf, 1.0], [0.5, 0.5], np.inf),
+        (AggregatorSpec.expectation(), [-np.inf, 1.0], [0.5, 0.5], -np.inf),
+        (AggregatorSpec.expectation(), [np.inf, -np.inf], [0.5, 0.5], np.nan),
+        (AggregatorSpec.expectation(), [np.nan, 1.0], [0.5, 0.5], np.nan),
+        (AggregatorSpec.top_k(2), [np.inf, -np.inf], [0.5, 0.5], np.nan),
     ])
     def test_tail_value_of_nonfinite_atoms(self, spec, values, probs, expected):
         values, probs = np.array(values, dtype=float), np.array(probs)
