@@ -117,8 +117,18 @@ def _config(args, aggregator: AggregatorSpec) -> TrainConfig:
                            aggregator, _partition_mode(args)))
 
 
-def _prepare(args, dataset):
-    """Seeded train/test split, then standardization fitted on the train rows."""
+def _prepare(args, aggregators):
+    """Load the data, build the configs, split, then standardize.
+
+    ``aggregators()`` is called after the data is loaded and the train
+    fraction checked, so flag errors come before the split's errors on a
+    one-row file.  The unsplit dataset is released once split.  Returns
+    the configs, the standardized train and test sets (test is None at
+    ``--train-frac 1``) and whether the split was stratified.
+    """
+    dataset = _load_dataset(args)
+    _check_train_frac(args)
+    configs = [_config(args, aggregator) for aggregator in aggregators()]
     if args.train_frac < 1.0:
         # split randomness derives from the run seed, offset so the draw
         # is independent of the synthetic generator's
@@ -126,8 +136,9 @@ def _prepare(args, dataset):
                                               seed=args.seed + 1)
     else:
         train_ds, test_ds, stratified = dataset, None, True
+    del dataset
     train_ds, test_ds, _ = standardize(train_ds, test_ds)
-    return train_ds, test_ds, stratified
+    return configs, train_ds, test_ds, stratified
 
 
 def _evaluation_block(report: TrainReport, dataset, mode: str, loss: LossSpec):
@@ -191,11 +202,8 @@ def _emit(text: str, output):
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    dataset = _load_dataset(args)
-    # flag errors are reported before the split can fail on a one-row file
-    _check_train_frac(args)
-    config = _config(args, _aggregator_from_flags(args))
-    train_ds, test_ds, stratified = _prepare(args, dataset)
+    [config], train_ds, test_ds, stratified = _prepare(
+        args, lambda: [_aggregator_from_flags(args)])
     report = train(config, train_ds)
     # evaluated on the data's groups, whatever partition training ran on
     mode = _partition_mode(args)
@@ -238,10 +246,8 @@ def cmd_sweep(args) -> int:
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ParameterError(f"sweep alpha must lie in (0, 1), got {a!r}")
-    dataset = _load_dataset(args)
-    _check_train_frac(args)
-    configs = [_config(args, AggregatorSpec.cvar(a)) for a in alphas]
-    train_ds, test_ds, _ = _prepare(args, dataset)
+    configs, train_ds, test_ds, _ = _prepare(
+        args, lambda: [AggregatorSpec.cvar(a) for a in alphas])
     eval_ds = train_ds if test_ds is None else test_ds
     part = partition(eval_ds, _partition_mode(args))
     lines = [SWEEP_HEADER]

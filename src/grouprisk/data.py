@@ -148,7 +148,10 @@ class Scaler:
     scale: np.ndarray
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, float) - self.mean) / self.scale
+        # the bits of (X - mean) / scale with one temporary: the output
+        out = np.subtract(features, self.mean, dtype=float)
+        out /= self.scale
+        return out
 
 
 def standardize(train: Dataset, test: Optional[Dataset] = None):
@@ -190,12 +193,6 @@ def _parse_float(token: str, row: int, column: str) -> float:
         ) from None
 
 
-def _one_hot(codes: np.ndarray, n: int) -> np.ndarray:
-    hot = np.zeros((codes.size, n))
-    hot[np.arange(codes.size), codes] = 1.0
-    return hot
-
-
 def _float_column(column: list) -> Optional[np.ndarray]:
     """The cells as floats, or None when one of them is not a number."""
     try:
@@ -230,8 +227,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a CSV file into a dataset according to the schema.
 
     The file is read in blocks of rows, each transposed onto per-column
-    lists, and the columns are checked and converted whole.  Only one
-    error is raised, in this order of precedence:
+    lists.  The columns are then checked and converted one at a time, and
+    each column's cells are released as soon as it is converted, so at
+    most one column exists both as cells and as numbers.  The feature
+    matrix is allocated once and filled in place: numeric columns as they
+    are, text columns (and a categorical sensitive column) as one-hot
+    blocks.  Only one error is raised, in this order of precedence:
 
     1. a read error (unreadable file, non-UTF-8 text, malformed CSV)
        anywhere in the file;
@@ -265,7 +266,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     if m == 0 and ragged is None:
         raise IngestionError(f"{path}: no data rows")
 
+    # from here on the dict holds the only reference to each column's cells
     column = dict(zip(header, cells))
+    del cells
     sens_names = (schema.sensitive_column
                   if isinstance(schema.sensitive_column, tuple)
                   else (schema.sensitive_column,))
@@ -285,51 +288,74 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                 raise ParameterError(
                     f"feature column {name!r} clashes with the label or "
                     f"sensitive column; it is handled separately")
+    column = {name: column[name]
+              for name in (schema.label_column, *sens_names, *feature_names)}
 
-    # the first blank cell of each column that has one; min keeps the
-    # earliest row, and of equal rows the earliest column in check order
-    missing = [(next(r for r, cell in enumerate(column[name], start=2)
-                     if not cell.strip()), name)
-               for name in (schema.label_column, *sens_names, *feature_names)
-               if not all(map(str.strip, column[name]))]
+    # the first blank cell of each scanned column that has one, in check order
+    missing = []
+
+    def scanned(name: str) -> list:
+        cells = column[name]
+        if not all(map(str.strip, cells)):
+            missing.append((next(r for r, cell in enumerate(cells, start=2)
+                                 if not cell.strip()), name))
+        return cells
+
+    labels = np.where(np.fromiter(
+        map(operator.eq, scanned(schema.label_column),
+            repeat(schema.positive_label_token)), bool, count=m), 1.0, -1.0)
+    del column[schema.label_column]
+
+    bad_real = None  # the cells of a real sensitive column that fails to parse
+    if schema.sensitive_kind == "real":
+        sensitive = _float_column(scanned(sens_names[0]))
+        if sensitive is None:
+            bad_real = column[sens_names[0]]
+    else:
+        keys = [scanned(n) for n in sens_names]
+        sensitive, levels = first_appearance(
+            keys[0] if len(keys) == 1 else list(zip(*keys)))
+        del keys
+    for name in sens_names:
+        column.pop(name, None)
+
+    # each feature column as floats, or a text column as its codes and
+    # levels in first-appearance order; a float parse already fails on a
+    # blank cell, so only the columns it rejects are scanned
+    blocks = {}
+    for name in feature_names:
+        if name not in blocks:
+            values = _float_column(column[name])
+            if values is None:
+                values = first_appearance(scanned(name))
+            blocks[name] = values
+            del column[name]
+
     if missing:
+        # min keeps the earliest row, and of equal rows the earliest column
         r, name = min(missing, key=lambda rn: rn[0])
         raise IngestionError(f"{path}: row {r}, column {name!r}: missing value")
     if ragged is not None:
         raise IngestionError(f"{path}: row {ragged[0]} has {ragged[1]} cells, "
                              f"expected {len(header)}")
+    if bad_real is not None:
+        for r, cell in enumerate(bad_real, start=2):
+            _parse_float(cell, r, sens_names[0])
 
-    labels = np.where(np.fromiter(
-        map(operator.eq, column[schema.label_column],
-            repeat(schema.positive_label_token)), bool, count=m), 1.0, -1.0)
-
-    if schema.sensitive_kind == "real":
-        sens = column[sens_names[0]]
-        sensitive = _float_column(sens)
-        if sensitive is None:
-            for r, cell in enumerate(sens, start=2):
-                _parse_float(cell, r, sens_names[0])
-    else:
-        keys = [column[n] for n in sens_names]
-        sensitive, levels = first_appearance(
-            keys[0] if len(keys) == 1 else list(zip(*keys)))
-
-    columns = []
-    for name in feature_names:
-        values = _float_column(column[name])
-        if values is not None:
-            columns.append(values)
-        else:
-            # text column: one-hot in first-appearance order
-            codes, values = first_appearance(column[name])
-            columns.extend(_one_hot(codes, len(values)).T)
-
+    parts = [blocks[name] for name in feature_names]
     if schema.include_sensitive:
-        if schema.sensitive_kind == "real":
-            columns.append(sensitive.astype(float))
-        else:
-            columns.extend(_one_hot(sensitive, len(levels)).T)
-
-    if not columns:
+        parts.append(sensitive if schema.sensitive_kind == "real"
+                     else (sensitive, levels))
+    if not parts:
         raise IngestionError(f"{path}: no feature columns")
-    return Dataset(np.column_stack(columns), labels, sensitive)
+    widths = [1 if isinstance(p, np.ndarray) else len(p[1]) for p in parts]
+    features = np.zeros((m, sum(widths)))
+    rows = np.arange(m)
+    j = 0
+    for width, part in zip(widths, parts):
+        if isinstance(part, np.ndarray):
+            features[:, j] = part
+        else:
+            features[:, j:j + width][rows, part[0]] = 1.0
+        j += width
+    return Dataset(features, labels, sensitive)

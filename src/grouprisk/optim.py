@@ -85,6 +85,10 @@ class TrainReport:
 
 
 def _l2_term(weights: np.ndarray, l2_reg: float) -> float:
+    if l2_reg == 0.0:
+        # dot(w, w) can overflow to inf while the scores stay finite, and
+        # 0 * inf is nan; for a finite dot this is the product's signed zero
+        return 0.0 * l2_reg
     return 0.5 * l2_reg * float(np.dot(weights, weights))
 
 

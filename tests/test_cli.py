@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import weakref
 
 import numpy as np
+import pytest
 
+from grouprisk import cli
 from grouprisk.cli import SWEEP_HEADER, main
 
 
@@ -304,3 +307,25 @@ class TestAxiomsCommand:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [("train",), ("train", "--train-frac", "1"),
+                                  ("sweep", "--alphas", "0.2,0.8")])
+def test_unsplit_dataset_released_before_training(capsys, monkeypatch, argv):
+    # only the standardized train and test sets stay alive while training
+    load_dataset, train = cli._load_dataset, cli.train
+    loaded = []
+
+    def load(args):
+        dataset = load_dataset(args)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def checked_train(config, dataset):
+        assert loaded[0]() is None
+        return train(config, dataset)
+
+    monkeypatch.setattr(cli, "_load_dataset", load)
+    monkeypatch.setattr(cli, "train", checked_train)
+    code, _, _ = run(capsys, *argv, "--epochs", "2")
+    assert code == 0

@@ -1,12 +1,14 @@
 """Unit tests for ingestion, the synthetic benchmark, splitting, scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from grouprisk import (AggregatorSpec, CsvSchema, Dataset, IngestionError,
                        InputError, LossSpec, ParameterError, SynthSpec, TrainConfig,
-                       generate_synth, load_csv, partition, split, standardize,
-                       train)
+                       Scaler, generate_synth, load_csv, partition, split,
+                       standardize, train)
 from grouprisk.metrics import evaluate
 
 
@@ -320,3 +322,30 @@ class TestStandardize:
         manual = (ds.features - scaler.mean) / scaler.scale
         tr, _, _ = standardize(ds)
         np.testing.assert_array_equal(tr.features, manual)
+
+    def test_inputs_untouched_and_read_only_accepted(self):
+        ds = generate_synth(SynthSpec(m=120, seed=6))
+        train_ds, test_ds, _ = split(ds, 0.7, seed=1)
+        expected = standardize(train_ds, test_ds)
+        before = [d.features.copy() for d in (train_ds, test_ds)]
+        for d in (train_ds, test_ds):
+            d.features.flags.writeable = False
+        got = standardize(train_ds, test_ds)
+        for a, b in zip(got[:2], expected[:2]):
+            assert a.features.tobytes() == b.features.tobytes()
+        out = got[2].transform(test_ds.features)
+        assert out.tobytes() == expected[1].features.tobytes()
+        for d, copy in zip((train_ds, test_ds), before):
+            assert d.features.tobytes() == copy.tobytes()
+
+    def test_transform_allocates_only_its_output(self):
+        X = np.random.default_rng(3).normal(size=(20_000, 12))
+        scaler = Scaler(X.mean(axis=0), X.std(axis=0))
+        tracemalloc.start()
+        try:
+            out = scaler.transform(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == ((X - scaler.mean) / scaler.scale).tobytes()
+        assert peak <= 1.1 * out.nbytes

@@ -11,6 +11,7 @@ land on the first, last and inner rows of a block.
 
 import csv
 import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -276,3 +277,41 @@ def test_error_precedence(tmp_path, monkeypatch, block):
                                        header=HEADER[:-1] + ["x1"])[1]
     assert _case(tmp_path, [[]], header=[])[1].endswith(
         "missing column 'label'")
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_close_to_the_cells(tmp_path):
+    # each column's cells are released once converted and the matrix is
+    # filled in place, so loading needs well under one more feature matrix
+    # than holding the file's cells; keeping the feature columns' cells
+    # to the end takes about 0.9 of one, a column_stack copy more than 2
+    rng = np.random.default_rng(19)
+    m = 20_000
+    columns = [*([f"{x:.6f}" for x in rng.normal(size=m)] for _ in range(3)),
+               rng.choice(["red", "green", "blue", "grey"], m).tolist(),
+               rng.choice(["north", "south", "east", "west", "centre"],
+                          m).tolist(),
+               rng.choice(["0", "1"], m).tolist()]
+    path = tmp_path / "wide.csv"
+    _write(path, [list(row) for row in zip(*columns)],
+           ["x1", "x2", "x3", "colour", "region", "label"])
+    schema = CsvSchema("label", "region", "1")
+
+    def read_cells():
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            data._read_columns(reader, len(next(reader)))
+
+    features = load_csv(path, schema).features
+    assert features.shape == (m, 12)
+    excess = _traced_peak(lambda: load_csv(path, schema)) - \
+        _traced_peak(read_cells)
+    assert excess < features.nbytes / 2

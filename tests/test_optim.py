@@ -292,6 +292,24 @@ class TestTrain:
             train(cfg, ds)
         assert err.value.trace is not None
 
+    def test_zero_l2_survives_an_overflowing_weight_norm(self):
+        # weights near 1e160 square past the float range while the scores
+        # stay near 1e20; without an L2 penalty the objective stays finite
+        ds = generate_synth(SynthSpec(m=20, seed=0))
+        ds = Dataset(ds.features * 1e-140, ds.labels, ds.sensitive)
+        cfg = TrainConfig(AggregatorSpec.expectation(), LossSpec("linear"),
+                          l2_reg=0.0, epochs=5, step_size=1e300,
+                          step_decay="constant")
+        report = train(cfg, ds)
+        w = report.model.weights
+        with np.errstate(over="ignore"):
+            assert np.dot(w, w) == np.inf
+        assert np.all(np.isfinite(report.objective_trace))
+        assert report.metrics["best_epoch"] == 5.0
+        part = partition(ds)
+        assert np.isfinite(cvar_objective(report.model, 0.0, ds, part,
+                                          LossSpec("linear"), 0.5))
+
     def test_per_instance_risks_match_the_bincount_mean(self):
         # the linear loss at the zero model is -0.0 on the positive rows;
         # the singleton-group mean must turn it into +0.0 as bincount does
