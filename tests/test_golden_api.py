@@ -13,9 +13,12 @@ expectation, cvar and sd_penalty.  This suite pins, one SHA-256 per case:
   risks and metrics) for top_k at four k, and for per-instance and
   categorical cvar at four alphas, under the four training losses at
   m = 1, 7 and 400 rows; the rows repeat, so per-instance risks tie in
-  runs of many lengths.  Also a 3000-row hinge run where most risks tie
-  at exactly 0, and a per-instance run whose objective overflows, pinned
-  by its ``NumericalError`` and partial trace.
+  runs of many lengths.  Likewise expectation, sd_penalty and max on the
+  categorical partition, and every kind on three groups whose third has
+  weight 0 through ``group_weighting`` and on five groups that hold the
+  same rows, so their risks tie at every iterate.  Also a 3000-row hinge
+  run where most risks tie at exactly 0, and a per-instance run whose
+  objective overflows, pinned by its ``NumericalError`` and partial trace.
 
 A case's canonical text is the report's JSON (sorted keys), one
 ``repr`` per corpus entry or one ``repr`` per training run, so every bit
@@ -158,6 +161,30 @@ def _train_case(loss, m, runs):
     return text
 
 
+def weighted_dataset(m, seed):
+    """``train_dataset`` with group weights 0.6, 0.4 and 0 on its three
+    groups: the third group's risk never counts."""
+    ds = train_dataset(m, seed)
+    return Dataset(ds.features, ds.labels, ds.sensitive,
+                   {0: 0.6, 1: 0.4, 2: 0.0})
+
+
+def tied_dataset(groups, rows, seed):
+    """The same ``rows`` seeded rows in each of ``groups`` groups, in the
+    same order, so every group risk ties with every other at every
+    iterate."""
+    base = train_dataset(rows, seed)
+    return Dataset(np.tile(base.features, (groups, 1)),
+                   np.tile(base.labels, groups),
+                   np.repeat(np.arange(groups), rows))
+
+
+def _kinds_case(loss, dataset):
+    """Case text: one line per aggregator kind, categorical partition."""
+    return lambda: "\n".join(_train_line(spec, loss, dataset, "categorical")
+                             for spec in _SPECS.values())
+
+
 def _train_cases() -> dict:
     out = {}
     for m in _TRAIN_SIZES:
@@ -170,6 +197,16 @@ def _train_cases() -> dict:
                 out[f"train_cvar_{mode}_{loss}_m{m}"] = _train_case(
                     loss, m, [(AggregatorSpec.cvar(a), mode)
                               for a in _ALPHAS.values()])
+    for m in _TRAIN_SIZES:
+        for loss in _TRAIN_LOSSES:
+            out[f"train_kinds_categorical_{loss}_m{m}"] = _train_case(
+                loss, m, [(_SPECS[kind], "categorical")
+                          for kind in ("expectation", "sd_penalty", "max")])
+    for loss in _TRAIN_LOSSES:
+        out[f"train_zero_weight_group_{loss}"] = _kinds_case(
+            loss, weighted_dataset(400, 7))
+        out[f"train_five_tied_groups_{loss}"] = _kinds_case(
+            loss, tied_dataset(5, 40, 8))
     out["train_hinge_ties_m3000"] = lambda: _train_line(
         AggregatorSpec.top_k(2700), "hinge", separable_dataset(3000, 5),
         epochs=30)
