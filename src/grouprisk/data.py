@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -241,8 +242,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     3. the first bad row in file order: a row whose cell count differs
        from the header's, else its first missing (blank) cell in label,
        sensitive, feature column order;
-    4. the first real sensitive value that is not a number;
-    5. no feature columns.
+    4. the first real sensitive value that is not a finite number;
+    5. the first feature cell that parses as a number but is not finite
+       (``nan``, ``inf``, ``1e999``): the earliest row, then the earliest
+       column in feature order;
+    6. no feature columns.
 
     Row numbers count the header as row 1 and each record as one row.
     """
@@ -306,10 +310,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             repeat(schema.positive_label_token)), bool, count=m), 1.0, -1.0)
     del column[schema.label_column]
 
-    bad_real = None  # the cells of a real sensitive column that fails to parse
+    # the cells of a real sensitive column with a value that is not a
+    # finite number
+    bad_real = None
     if schema.sensitive_kind == "real":
         sensitive = _float_column(scanned(sens_names[0]))
-        if sensitive is None:
+        if sensitive is None or not np.isfinite(sensitive).all():
             bad_real = column[sens_names[0]]
     else:
         keys = [scanned(n) for n in sens_names]
@@ -323,11 +329,17 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     # levels in first-appearance order; a float parse already fails on a
     # blank cell, so only the columns it rejects are scanned
     blocks = {}
-    for name in feature_names:
+    # (row, feature index, name, cell) of each float column's first
+    # non-finite cell
+    not_finite = []
+    for j, name in enumerate(feature_names):
         if name not in blocks:
             values = _float_column(column[name])
             if values is None:
                 values = first_appearance(scanned(name))
+            elif not np.isfinite(values).all():
+                i = int(np.argmin(np.isfinite(values)))
+                not_finite.append((i + 2, j, name, column[name][i]))
             blocks[name] = values
             del column[name]
 
@@ -340,7 +352,14 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                              f"expected {len(header)}")
     if bad_real is not None:
         for r, cell in enumerate(bad_real, start=2):
-            _parse_float(cell, r, sens_names[0])
+            if not math.isfinite(_parse_float(cell, r, sens_names[0])):
+                # precedence 4 goes before every feature cell
+                not_finite = [(r, 0, sens_names[0], cell)]
+                break
+    if not_finite:
+        r, _, name, cell = min(not_finite)
+        raise IngestionError(f"{path}: row {r}, column {name!r}: {cell!r} is "
+                             f"not a finite number")
 
     parts = [blocks[name] for name in feature_names]
     if schema.include_sensitive:

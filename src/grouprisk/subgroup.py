@@ -107,29 +107,50 @@ class LossSpec:
             raise ParameterError(f"loss {self.kind!r} has no subgradient")
         return gn(np.asarray(labels, float), np.asarray(scores, float))
 
-    def _values_grads(self, labels: np.ndarray):
-        """Function of a float scores array returning (values, grads).
+    def _values_grads_into(self, labels: np.ndarray):
+        """Function ``step(blk, v, g)`` for a slice ``blk`` of the rows.
 
-        The bits are those of ``values`` and ``grads``.  Hinge and squared
-        hinge take both from one margin pass that overwrites the scores
-        array, with -y or -2y computed once here.
+        ``v[blk]`` holds the scores on entry; ``step`` writes the loss
+        values there and the grads into ``g[blk]``, with the bits of
+        ``values`` and ``grads``: the same operations in the same order,
+        in place, so a call allocates nothing row-sized.  -y and its
+        multiples are computed once here.
         """
         y = np.asarray(labels, float)
+        neg_y = -y
         if self.kind == "hinge":
-            neg_y = -y
-
-            def hinge(scores):
-                h = _margin_in_place(y, scores)
-                return h, np.where(h > 0.0, neg_y, 0.0)
-            return hinge
-        if self.kind == "squared_hinge":
+            def step(blk, v, g):
+                h = _margin_in_place(y[blk], v[blk])
+                # where(h > 0, -y, 0.0): -y * 0.0 may be -0.0, + 0.0 is not
+                g = np.greater(h, 0.0, out=g[blk])
+                np.multiply(neg_y[blk], g, out=g)
+                np.add(g, 0.0, out=g)
+        elif self.kind == "squared_hinge":
             neg_2y = -2.0 * y
 
-            def squared_hinge(scores):
-                h = _margin_in_place(y, scores)
-                return h * h, np.multiply(neg_2y, h, out=h)
-            return squared_hinge
-        return lambda scores: (self.values(y, scores), self.grads(y, scores))
+            def step(blk, v, g):
+                h = _margin_in_place(y[blk], v[blk])
+                np.multiply(neg_2y[blk], h, out=g[blk])
+                np.multiply(h, h, out=h)
+        elif self.kind == "logistic":
+            # -0.5 * y and -y * 0.5 are the same numbers
+            half_neg_y = -0.5 * y
+
+            def step(blk, v, g):
+                s, g = v[blk], g[blk]
+                np.multiply(half_neg_y[blk], s, out=g)
+                np.tanh(g, out=g)
+                np.add(1.0, g, out=g)
+                np.multiply(half_neg_y[blk], g, out=g)
+                np.logaddexp(0.0, np.multiply(neg_y[blk], s, out=s), out=s)
+        elif self.kind == "linear":
+            def step(blk, v, g):
+                np.multiply(neg_y[blk], v[blk], out=v[blk])
+                # -y * ones_like(s) is -y
+                g[blk] = neg_y[blk]
+        else:
+            raise ParameterError(f"loss {self.kind!r} has no subgradient")
+        return step
 
 
 @dataclass(frozen=True, eq=False)

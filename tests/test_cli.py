@@ -196,6 +196,17 @@ class TestTrainCommand:
         assert len(doc["train"]["final_subgroup_risks"]["values"]) == \
             len(doc["train"]["final_subgroup_risks"]["probs"])
 
+    def test_non_finite_real_sensitive_value_exits_3(self, capsys, tmp_path):
+        # accepted before, and the artifact then held "covariance": NaN
+        path = tmp_path / "real.csv"
+        path.write_text("a,s,label\n1,0.5,1\n2,nan,0\n2,1,0\n3,inf,1\n")
+        code, out, err = run(capsys, "train", "--data", str(path),
+                             "--label-col", "label", "--sensitive-col", "s",
+                             "--sensitive-kind", "real", "--exclude-sensitive")
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}: row 3, column 's': 'nan' is not a "
+                       f"finite number\n")
+
 
 class TestSweepCommand:
     def test_rows_and_header(self, capsys):

@@ -279,6 +279,40 @@ def test_error_precedence(tmp_path, monkeypatch, block):
         "missing column 'label'")
 
 
+def test_non_finite_cells_name_row_and_column(tmp_path):
+    # float cells that are not finite: the earliest row, then the earliest
+    # feature column; a real sensitive value comes first (precedence 4
+    # before 5), and a blank cell before either
+    path = tmp_path / "inf.csv"
+    header = ["a", "b", "t", "s", "label"]
+    rows = [["1", "2", "u", "0.5", "1"], ["2", "inf", "nan", "1", "0"],
+            ["nan", "3", "v", "2", "0"], ["3", "4", "u", "3", "1"]]
+
+    def error(edits=(), **schema):
+        spoilt = [list(r) for r in rows]
+        for i, j, cell in edits:
+            spoilt[i][j] = cell
+        _write(path, spoilt, header)
+        with pytest.raises(IngestionError) as err:
+            load_csv(path, CsvSchema("label", "s", "1", **schema))
+        return str(err.value).removeprefix(f"{path}: ")
+
+    # the text column's 'nan' is a level, not a number
+    assert error() == "row 3, column 'b': 'inf' is not a finite number"
+    assert error([(1, 0, "-1e999")]) == \
+        "row 3, column 'a': '-1e999' is not a finite number"
+    assert error([(1, 0, "-1e999")], feature_columns=("b", "a")) == \
+        "row 3, column 'b': 'inf' is not a finite number"
+    real = dict(sensitive_kind="real")
+    assert error([(3, 3, "NaN")], **real) == \
+        "row 5, column 's': 'NaN' is not a finite number"
+    assert error([(2, 3, "inf"), (3, 3, "n/a")], **real) == \
+        "row 4, column 's': 'inf' is not a finite number"
+    assert error([(2, 3, "n/a"), (3, 3, "inf")], **real) == \
+        "row 4, column 's': cannot parse 'n/a' as a number"
+    assert error([(3, 1, " ")]) == "row 5, column 'b': missing value"
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

@@ -1,10 +1,13 @@
 """Unit tests for the variational objective, its subgradient, and training."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from grouprisk import optim
 from grouprisk import (AggregatorSpec, Dataset, LinearModel, LossSpec,
                        NumericalError, ParameterError, SynthSpec, TrainConfig,
                        alpha_sweep, cvar, cvar_objective, generate_synth,
@@ -380,3 +383,87 @@ class TestAlphaSweep:
         ds = two_group_dataset(rng)
         with pytest.raises(ParameterError):
             alpha_sweep(config(AggregatorSpec.cvar(0.5)), ds, [0.5, 1.0])
+
+
+def _report_text(report) -> str:
+    risks = report.final_subgroup_risks
+    return repr((report.objective_trace.tobytes(),
+                 report.model.weights.tobytes(), report.model.intercept,
+                 report.rho, risks.values.tobytes(), risks.probs.tobytes(),
+                 sorted(report.metrics.items())))
+
+
+def _force_blocks(monkeypatch, cpus):
+    """Blocks of at least 3 rows on ``cpus`` CPUs: with 3, m = 7 splits
+    into 2 blocks and m = 400 into 3."""
+    monkeypatch.setattr(optim, "_MIN_BLOCK_ROWS", 3)
+    monkeypatch.setattr(optim, "_usable_cpus", lambda: cpus)
+
+
+class TestRowBlocks:
+    """``train``'s row passes give the same bits on any number of blocks."""
+
+    def test_reports_do_not_depend_on_the_blocks(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        runs = [(m, agg, loss, mode) for m in (7, 400) for agg in ALL_KINDS
+                for loss in ("hinge", "squared_hinge", "logistic", "linear")
+                for mode in ("categorical", "per_instance")]
+        data = {m: Dataset(rng.normal(size=(m, 8)),
+                           rng.choice([-1.0, 1.0], m),
+                           np.arange(m) % 3) for m in (7, 400)}
+
+        def reports():
+            return [_report_text(train(config(agg, loss, epochs=15,
+                                              partition_mode=mode), data[m]))
+                    for m, agg, loss, mode in runs]
+        one_block = reports()
+        _force_blocks(monkeypatch, 3)
+        assert [len(optim._row_blocks(m)) for m in (1, 7, 400)] == [1, 2, 3]
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocked = reports()
+        finally:
+            sys.setswitchinterval(interval)
+        for run, got, want in zip(runs, blocked, one_block):
+            assert got == want, run
+
+    def test_overflow_raises_without_runtime_warnings(self, monkeypatch):
+        # the cases of TestTrain's test of the same name on two blocks:
+        # each worker thread sets its own np.errstate
+        _force_blocks(monkeypatch, 2)
+        ds = standardize(generate_synth(SynthSpec(m=320, seed=0)))[0]
+        assert len(optim._row_blocks(ds.m)) == 2
+        for agg in ALL_KINDS:
+            cfg = config(agg, step_size=1e200, epochs=20)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError):
+                    train(cfg, ds)
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        _force_blocks(monkeypatch, 2)
+        ds = standardize(generate_synth(SynthSpec(m=400, seed=0)))[0]
+        before = threading.active_count()
+        train(config(AggregatorSpec.cvar(0.9), epochs=5), ds)
+        assert threading.active_count() == before
+        with pytest.raises(NumericalError):
+            train(config(AggregatorSpec.cvar(0.9), step_size=1e200,
+                         epochs=20), ds)
+        assert threading.active_count() == before
+        # an error on a worker thread reaches the caller
+        into = LossSpec._values_grads_into
+
+        def failing(loss, labels):
+            step = into(loss, labels)
+
+            def checked(blk, v, g):
+                if blk.start > 0:
+                    raise ValueError("block failed")
+                step(blk, v, g)
+            return checked
+        monkeypatch.setattr(LossSpec, "_values_grads_into", failing)
+        with pytest.raises(ValueError, match="block failed"):
+            train(config(AggregatorSpec.cvar(0.9), epochs=5), ds)
+        assert threading.active_count() == before

@@ -62,18 +62,22 @@ class TestLosses:
             LossSpec("absolute")
 
     def test_one_pass_values_and_grads_keep_the_bits(self, rng):
-        # the training epoch's single margin pass, at the kink and off
-        # the float range included
+        # the training epoch's in-place pass, whole and in two blocks, at
+        # the kink, off the float range and on a NaN score included
         y = rng.choice([-1.0, 1.0], 400)
-        s = np.concatenate([rng.normal(size=380) * 3, y[380:396],
-                            [0.0, -0.0, 1e300, -np.inf]])
+        s = np.concatenate([rng.normal(size=379) * 3, y[379:395],
+                            [0.0, -0.0, 1e300, -np.inf, np.nan]])
         for kind in ("hinge", "squared_hinge", "logistic", "linear"):
             loss = LossSpec(kind)
-            with np.errstate(over="ignore", invalid="ignore"):
-                expected = (loss.values(y, s), loss.grads(y, s))
-                got = loss._values_grads(y)(s.copy())
-            for a, b in zip(got, expected):
-                assert a.tobytes() == b.tobytes(), kind
+            step = loss._values_grads_into(y)
+            for blocks in ([slice(0, 400)], [slice(0, 236), slice(236, 400)]):
+                v, g = s.copy(), np.empty_like(s)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = (loss.values(y, s), loss.grads(y, s))
+                    for blk in blocks:
+                        step(blk, v, g)
+                for a, b in zip((v, g), expected):
+                    assert a.tobytes() == b.tobytes(), (kind, len(blocks))
 
     def test_convexity_along_chords(self, rng):
         for kind in ("hinge", "squared_hinge", "logistic", "linear"):
