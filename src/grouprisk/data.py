@@ -202,6 +202,12 @@ def _float_column(column: list) -> Optional[np.ndarray]:
         return None
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # min and max propagate NaN; unlike isfinite they need no bool array
+    return not values.size or (math.isfinite(values.min())
+                               and math.isfinite(values.max()))
+
+
 def _read_columns(reader, width: int):
     """Transpose the data rows onto per-column lists, one row block at a time.
 
@@ -315,7 +321,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     bad_real = None
     if schema.sensitive_kind == "real":
         sensitive = _float_column(scanned(sens_names[0]))
-        if sensitive is None or not np.isfinite(sensitive).all():
+        if sensitive is None or not _all_finite(sensitive):
             bad_real = column[sens_names[0]]
     else:
         keys = [scanned(n) for n in sens_names]
@@ -337,7 +343,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             values = _float_column(column[name])
             if values is None:
                 values = first_appearance(scanned(name))
-            elif not np.isfinite(values).all():
+            elif not _all_finite(values):
                 i = int(np.argmin(np.isfinite(values)))
                 not_finite.append((i + 2, j, name, column[name][i]))
             blocks[name] = values
