@@ -112,11 +112,18 @@ class LossSpec:
 
         ``v[blk]`` holds the scores on entry; ``step`` writes the loss
         values there and the grads into ``g[blk]``, with the bits of
-        ``values`` and ``grads``: the same operations in the same order,
-        in place, so a call allocates nothing row-sized.  -y and its
-        multiples are computed once here.
+        ``values`` and ``grads`` for labels of +-1, in place, so a call
+        allocates nothing row-sized.  -y or -2y is computed once here.
         """
         y = np.asarray(labels, float)
+        if self.kind == "squared_hinge":
+            neg_2y = -2.0 * y
+
+            def step(blk, v, g):
+                h = _margin_in_place(y[blk], v[blk])
+                np.multiply(neg_2y[blk], h, out=g[blk])
+                np.multiply(h, h, out=h)
+            return step
         neg_y = -y
         if self.kind == "hinge":
             def step(blk, v, g):
@@ -125,24 +132,18 @@ class LossSpec:
                 g = np.greater(h, 0.0, out=g[blk])
                 np.multiply(neg_y[blk], g, out=g)
                 np.add(g, 0.0, out=g)
-        elif self.kind == "squared_hinge":
-            neg_2y = -2.0 * y
-
-            def step(blk, v, g):
-                h = _margin_in_place(y[blk], v[blk])
-                np.multiply(neg_2y[blk], h, out=g[blk])
-                np.multiply(h, h, out=h)
         elif self.kind == "logistic":
-            # -0.5 * y and -y * 0.5 are the same numbers
-            half_neg_y = -0.5 * y
-
+            # y is +-1, so -y * s is exact and halving it rounds -0.5 * y * s
+            # once, as ``grads`` does; the same holds for -y * 0.5 * (1 + t)
             def step(blk, v, g):
-                s, g = v[blk], g[blk]
-                np.multiply(half_neg_y[blk], s, out=g)
+                s, g, ny = v[blk], g[blk], neg_y[blk]
+                np.multiply(ny, s, out=g)
+                g *= 0.5
                 np.tanh(g, out=g)
                 np.add(1.0, g, out=g)
-                np.multiply(half_neg_y[blk], g, out=g)
-                np.logaddexp(0.0, np.multiply(neg_y[blk], s, out=s), out=s)
+                np.multiply(ny, g, out=g)
+                g *= 0.5
+                np.logaddexp(0.0, np.multiply(ny, s, out=s), out=s)
         elif self.kind == "linear":
             def step(blk, v, g):
                 np.multiply(neg_y[blk], v[blk], out=v[blk])
