@@ -197,8 +197,6 @@ def _train_cases() -> dict:
                 out[f"train_cvar_{mode}_{loss}_m{m}"] = _train_case(
                     loss, m, [(AggregatorSpec.cvar(a), mode)
                               for a in _ALPHAS.values()])
-    for m in _TRAIN_SIZES:
-        for loss in _TRAIN_LOSSES:
             out[f"train_kinds_categorical_{loss}_m{m}"] = _train_case(
                 loss, m, [(_SPECS[kind], "categorical")
                           for kind in ("expectation", "sd_penalty", "max")])
