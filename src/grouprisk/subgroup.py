@@ -113,42 +113,43 @@ class LossSpec:
         ``v[blk]`` holds the scores on entry; ``step`` writes the loss
         values there and the grads into ``g[blk]``, with the bits of
         ``values`` and ``grads`` for labels of +-1, in place, so a call
-        allocates nothing row-sized.  -y or -2y is computed once here.
+        allocates nothing row-sized.  With y = +-1, y * x is exact and
+        then one multiplication by -1, -2 or -0.5 rounds once, as -y * x,
+        -2y * x and -0.5y * x do (a NaN keeps its sign either way).
         """
         y = np.asarray(labels, float)
-        if self.kind == "squared_hinge":
-            neg_2y = -2.0 * y
-
-            def step(blk, v, g):
-                h = _margin_in_place(y[blk], v[blk])
-                np.multiply(neg_2y[blk], h, out=g[blk])
-                np.multiply(h, h, out=h)
-            return step
-        neg_y = -y
         if self.kind == "hinge":
             def step(blk, v, g):
-                h = _margin_in_place(y[blk], v[blk])
-                # where(h > 0, -y, 0.0): -y * 0.0 may be -0.0, + 0.0 is not
+                yb = y[blk]
+                h = _margin_in_place(yb, v[blk])
+                # where(h > 0, -y, 0.0): 0.0 - (y * 0.0) is +0.0
                 g = np.greater(h, 0.0, out=g[blk])
-                np.multiply(neg_y[blk], g, out=g)
-                np.add(g, 0.0, out=g)
-        elif self.kind == "logistic":
-            # y is +-1, so -y * s is exact and halving it rounds -0.5 * y * s
-            # once, as ``grads`` does; the same holds for -y * 0.5 * (1 + t)
+                np.multiply(yb, g, out=g)
+                np.subtract(0.0, g, out=g)
+        elif self.kind == "squared_hinge":
             def step(blk, v, g):
-                s, g, ny = v[blk], g[blk], neg_y[blk]
-                np.multiply(ny, s, out=g)
-                g *= 0.5
+                yb = y[blk]
+                h = _margin_in_place(yb, v[blk])
+                g = np.multiply(yb, h, out=g[blk])
+                g *= -2.0
+                np.multiply(h, h, out=h)
+        elif self.kind == "logistic":
+            def step(blk, v, g):
+                s, g, yb = v[blk], g[blk], y[blk]
+                np.multiply(yb, s, out=g)
+                np.multiply(g, -1.0, out=s)
+                g *= -0.5
                 np.tanh(g, out=g)
                 np.add(1.0, g, out=g)
-                np.multiply(ny, g, out=g)
-                g *= 0.5
-                np.logaddexp(0.0, np.multiply(ny, s, out=s), out=s)
+                np.multiply(yb, g, out=g)
+                g *= -0.5
+                np.logaddexp(0.0, s, out=s)
         elif self.kind == "linear":
             def step(blk, v, g):
-                np.multiply(neg_y[blk], v[blk], out=v[blk])
+                s = np.multiply(y[blk], v[blk], out=v[blk])
+                s *= -1.0
                 # -y * ones_like(s) is -y
-                g[blk] = neg_y[blk]
+                np.multiply(y[blk], -1.0, out=g[blk])
         else:
             raise ParameterError(f"loss {self.kind!r} has no subgradient")
         return step
