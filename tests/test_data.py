@@ -295,6 +295,74 @@ class TestSplit:
         np.testing.assert_array_equal(a.train.features, b.train.features)
 
 
+def assert_split_is_reference(sensitive, seeds=(0, 5)):
+    """``split`` of a dataset with these sensitive values gives the rows,
+    and the stratified flag, of ``reference_split``; returns the train rows
+    of each (fraction, seed)."""
+    m = sensitive.size
+    rng = np.random.default_rng(m)
+    ds = Dataset(np.arange(m, dtype=float)[:, None], rng.choice([-1.0, 1.0], m),
+                 sensitive)
+    trains = []
+    for frac in (0.8, 0.37, 0.71):
+        for seed in seeds:
+            res = split(ds, frac, seed=seed)
+            train_idx, test_idx, stratified = reference_split(ds, frac, seed)
+            assert res.stratified == stratified
+            for got, idx in ((res.train, train_idx), (res.test, test_idx)):
+                np.testing.assert_array_equal(got.features[:, 0], idx)
+                np.testing.assert_array_equal(got.sensitive, sensitive[idx])
+            trains.append(res.train.features[:, 0])
+    return trains
+
+
+class TestSplitEdges:
+    """Sensitive dtypes and values that the grouping must code exactly."""
+
+    @pytest.mark.parametrize("levels", [
+        [-7, -3, -5],
+        [2**63 - 1, -2**63, 0, -2**63 + 1],
+        [2**63 - 1, 2**63 - 2],
+        [-2**63, -2**63 + 2],
+        np.array([0, 200, 255], dtype=np.uint8),
+        np.array([2**64 - 1, 1], dtype=np.uint64),
+        [True, False],
+        [np.inf, -np.inf, 1.0],
+        [1.5, -2.25, 7.0],
+        ["north", "south", "east"],
+    ])
+    def test_levels_match_reference(self, levels):
+        levels = np.asarray(levels)
+        rng = np.random.default_rng(levels.size)
+        sensitive = levels[rng.integers(0, levels.size, 301)]
+        assert_split_is_reference(sensitive)
+        assert split(Dataset(np.ones((301, 1)), np.ones(301), sensitive),
+                     0.8).stratified
+
+    def test_sign_of_the_first_zero_orders_the_strata(self):
+        # the strata are visited in repr order of their (label, value)
+        # keys, and '-0.0' sorts before '-1.0' while '0.0' sorts after it
+        rng = np.random.default_rng(4)
+        base = rng.choice([0.0, -1.0, 2.0], 240)
+        zeros = np.flatnonzero(base == 0.0)
+        first_neg, first_pos = base.copy(), base.copy()
+        first_neg[zeros[0]] = -0.0
+        first_pos[zeros[1:]] = -0.0
+        a = assert_split_is_reference(first_neg)
+        b = assert_split_is_reference(first_pos)
+        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_nan_falls_back_to_a_plain_shuffle(self):
+        # no NaN equals another, so each NaN row is a stratum of one
+        rng = np.random.default_rng(6)
+        for nans in ([5], [5, 17], [0, 1, 2]):
+            sensitive = rng.choice([0.0, 1.0], 200)
+            sensitive[nans] = np.nan
+            assert_split_is_reference(sensitive)
+            assert not split(Dataset(np.ones((200, 1)), np.ones(200), sensitive),
+                             0.8).stratified
+
+
 class TestStandardize:
     def test_train_moments(self):
         ds = generate_synth(SynthSpec(m=150, seed=2))

@@ -145,6 +145,44 @@ class TestPartition:
         with pytest.raises(ParameterError):
             partition(toy_dataset(), "pairwise")
 
+    @pytest.mark.parametrize("s, ids", [
+        (np.array([-3, -7, -3, -5]), [0, 1, 0, 2]),
+        (np.array([2**63 - 1, -2**63, 0, -2**63]), [0, 1, 2, 1]),
+        (np.array([2**63 - 2, 2**63 - 1, 2**63 - 2]), [0, 1, 0]),
+        (np.array([-2**63 + 1, -2**63, -2**63]), [0, 1, 1]),
+        (np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), [0, 1, 0]),
+        (np.array([200, 3, 200, 255], dtype=np.uint8), [0, 1, 0, 2]),
+        (np.array([True, False, False, True]), [0, 1, 1, 0]),
+        (np.array([np.inf, -np.inf, 1.0, np.inf, -np.inf]), [0, 1, 2, 0, 1]),
+        (np.array([-0.0, 3.0, 0.0, -2.0]), [0, 1, 0, 2]),
+        (np.array([1e300, -1e300, 1e300]), [0, 1, 0]),
+        (np.array(["b", "a", "b", "c"]), [0, 1, 0, 2]),
+    ])
+    def test_categorical_codes_of_every_dtype(self, s, ids):
+        ds = Dataset(np.ones((s.size, 1)), np.ones(s.size), s)
+        part = partition(ds)
+        np.testing.assert_array_equal(part.group_ids, ids)
+        np.testing.assert_array_equal(part.sizes, np.bincount(ids))
+        np.testing.assert_array_equal(part.probs, np.bincount(ids) / s.size)
+
+    @pytest.mark.parametrize("zero", [-0.0, 0.0])
+    def test_weighting_looks_up_zeros_of_either_sign(self, zero):
+        # -0.0 == 0.0, so both rows are one group whichever sign the key has
+        s = np.array([-0.0, 2.0, 0.0, -1.0, 2.0])
+        ds = Dataset(np.ones((5, 1)), np.ones(5), s,
+                     group_weighting={zero: 0.5, 2.0: 0.3, -1.0: 0.2})
+        part = partition(ds)
+        np.testing.assert_array_equal(part.group_ids, [0, 1, 0, 2, 1])
+        np.testing.assert_array_equal(part.probs, [0.5, 0.3, 0.2])
+
+    def test_weighting_of_bool_and_uint8_groups(self):
+        for s, w in ((np.array([True, False, True]), {True: 0.7, False: 0.3}),
+                     (np.array([9, 4, 9], dtype=np.uint8), {9: 0.7, 4: 0.3})):
+            part = partition(Dataset(np.ones((3, 1)), np.ones(3), s,
+                                     group_weighting=w))
+            np.testing.assert_array_equal(part.group_ids, [0, 1, 0])
+            np.testing.assert_array_equal(part.probs, [0.7, 0.3])
+
 
 class TestSubgroupRisks:
     def test_single_group_is_mean_loss(self, rng):
