@@ -101,8 +101,10 @@ class SplitResult(NamedTuple):
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult:
     """Shuffle rows into train and test, stratified by (label, group).
 
-    Falls back to a plain shuffle (flagged in the result) when some
-    (label, group) cell has fewer than two rows.
+    ``first_appearance`` codes the sensitive values, then those codes with
+    the label as one more bit.  Falls back to a plain shuffle (flagged in
+    the result) when some (label, group) cell has fewer than two rows, as
+    a NaN sensitive value always is.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError("train fraction must lie strictly in (0, 1)")
@@ -111,34 +113,32 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult
         raise InputError(f"train fraction {train_fraction!r} leaves one side "
                          f"of a {m}-row split empty")
     rng = np.random.default_rng(seed)
-    target = int(round(train_fraction * m))
-    target = min(max(target, 1), m - 1)
+    target = min(max(int(round(train_fraction * m)), 1), m - 1)
 
-    codes, keys = first_appearance(list(zip(dataset.labels.tolist(),
-                                            dataset.sensitive.tolist())))
+    groups, _ = first_appearance(dataset.sensitive)
+    codes, first = first_appearance(2 * groups + (dataset.labels > 0.0))
     sizes = np.bincount(codes)
     if np.any(sizes < 2):
         perm = rng.permutation(m)
         return SplitResult(dataset.take(perm[:target]), dataset.take(perm[target:]),
                            False)
 
-    # strata are visited in repr order of their (label, group) keys; a
+    # strata go in repr order of their first rows' (label, group) keys; a
     # stable sort by code lists each stratum's rows in ascending order
-    order = sorted(range(len(keys)), key=lambda c: repr(keys[c]))
+    keys = [repr(k) for k in zip(dataset.labels[first].tolist(),
+                                 dataset.sensitive[first].tolist())]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     strata = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
     shares = train_fraction * sizes[order]
     takes = np.floor(shares).astype(int)
     # hand leftover slots to the largest fractional remainders, stable order
     leftover = np.argsort(np.floor(shares) - shares, kind="stable")
     takes[leftover[:max(target - int(takes.sum()), 0)]] += 1
-    train_idx, test_idx = [], []
+    in_train = np.zeros(m, dtype=bool)
     for c, take in zip(order, takes):
-        perm = strata[c][rng.permutation(sizes[c])]
-        train_idx.append(perm[:take])
-        test_idx.append(perm[take:])
-    return SplitResult(dataset.take(np.sort(np.concatenate(train_idx))),
-                       dataset.take(np.sort(np.concatenate(test_idx))),
-                       True)
+        in_train[strata[c][rng.permutation(sizes[c])[:take]]] = True
+    return SplitResult(dataset.take(np.flatnonzero(in_train)),
+                       dataset.take(np.flatnonzero(~in_train)), True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,15 +183,6 @@ def standardize(train: Dataset, test: Optional[Dataset] = None):
 # 0.72 s whole, against 0.23 s in 256-row blocks, 0.26 s in 1024 and
 # 0.37 s in 4096 (medians of 5, Python 3.11, 2 x86 vCPUs).
 _BLOCK_ROWS = 256
-
-
-def _parse_float(token: str, row: int, column: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise IngestionError(
-            f"row {row}, column {column!r}: cannot parse {token!r} as a number"
-        ) from None
 
 
 def _float_column(column: list) -> Optional[np.ndarray]:
@@ -358,7 +349,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                              f"expected {len(header)}")
     if bad_real is not None:
         for r, cell in enumerate(bad_real, start=2):
-            if not math.isfinite(_parse_float(cell, r, sens_names[0])):
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: row {r}, column {sens_names[0]!r}: cannot "
+                    f"parse {cell!r} as a number") from None
+            if not finite:
                 # precedence 4 goes before every feature cell
                 not_finite = [(r, 0, sens_names[0], cell)]
                 break

@@ -185,10 +185,9 @@ class Dataset:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "sensitive", s)
-        if self.group_weighting is not None:
-            w = self.group_weighting
-            keys = set(w.keys())
-            seen = set(np.unique(s).tolist())
+        w = self.group_weighting
+        if w is not None:
+            keys, seen = set(w), set(np.unique(s).tolist())
             if keys != seen:
                 raise InputError(
                     f"group weighting keys {sorted(map(repr, keys))} do not cover "
@@ -209,14 +208,10 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset, preserving the group weighting when it still covers."""
-        sub_sensitive = self.sensitive[idx]
-        weighting = self.group_weighting
-        if weighting is not None:
-            seen = set(np.unique(sub_sensitive).tolist())
-            if set(weighting.keys()) != seen:
-                weighting = None
-        return Dataset(self.features[idx], self.labels[idx], sub_sensitive,
-                       weighting)
+        s, w = self.sensitive[idx], self.group_weighting
+        if w is not None and set(w) != set(np.unique(s).tolist()):
+            w = None
+        return Dataset(self.features[idx], self.labels[idx], s, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,25 +271,47 @@ class LinearModel:
 
 
 def first_appearance(values):
-    """Codes 0..n-1 in order of first appearance, plus the distinct values.
+    """Codes 0..n-1 in order of first appearance, plus each code's first row.
 
-    Pass Python scalars (an array's ``.tolist()``), not numpy ones.
+    Values equal under ``==`` share a code, so -0.0 and 0.0 do (a key read
+    off the first row keeps its sign), and each NaN is its own.  Bool,
+    integer and float arrays are coded in numpy: by a table when they hold
+    finite integers spanning fewer numbers than rows, else by np.unique.
+    Text, tuples and lists are coded with a dict.
     """
-    seen: dict = {}
-    codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
-                        dtype=int, count=len(values))
-    return codes, list(seen)
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else ""
+    if kind not in ("b", "i", "u", "f") or not values.size:
+        seen: dict = {}
+        codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
+                            dtype=int, count=len(values))
+        # the running maximum steps up by one at each code's first row
+        return codes, np.flatnonzero(np.diff(np.maximum.accumulate(codes),
+                                             prepend=-1))
+    m, lo = values.size, values.min()
+    # Python numbers, so that an int64 span cannot wrap; NaN and inf fail
+    span = values.max().item() - lo.item()
+    if span < m and (kind != "f" or np.array_equal(values, np.rint(values))):
+        slots = np.subtract(values, lo, dtype=float if kind == "f" else np.intp)
+        slots = slots.astype(np.intp, copy=False)
+        first = np.full(int(span) + 1, m)
+        np.minimum.at(first, slots, np.arange(m))
+    else:
+        _, first, slots = np.unique(values, return_index=True,
+                                    return_inverse=True, equal_nan=False)
+    # slots that no row holds have first == m and rank last
+    order = np.argsort(first)
+    return np.argsort(order)[slots], first[order[:np.count_nonzero(first < m)]]
 
 
 def partition(dataset: Dataset, mode: str = "categorical") -> GroupPartition:
     """Group the rows by sensitive value, or one singleton group per row.
 
     Categorical mode requires integer-coded sensitive values and yields
-    one group per distinct value in first-appearance order, with
-    probabilities from ``dataset.group_weighting`` when present and the
-    empirical frequencies otherwise.  Per-instance mode gives every row
-    its own group with probability 1/m (the route for real-valued
-    sensitive features).
+    one group per distinct value in ``first_appearance`` order (-0.0 and
+    0.0 are one group), with probabilities from ``dataset.group_weighting``
+    when present and the empirical frequencies otherwise.  Per-instance
+    mode gives every row its own group with probability 1/m (the route
+    for real-valued sensitive features).
     """
     if mode not in PARTITION_MODES:
         raise ParameterError(f"unknown partition mode {mode!r}")
@@ -307,12 +324,11 @@ def partition(dataset: Dataset, mode: str = "categorical") -> GroupPartition:
         raise ParameterError(
             "categorical partition requires integer-coded sensitive values; "
             "use per_instance mode for real-valued sensitive features")
-    codes, order = first_appearance(s.tolist())
-    sizes = np.bincount(codes, minlength=len(order))
-    if dataset.group_weighting is not None:
-        probs = np.array([float(dataset.group_weighting[v]) for v in order])
-    else:
-        probs = sizes / m
+    codes, first = first_appearance(s)
+    sizes = np.bincount(codes, minlength=first.size)
+    w = dataset.group_weighting
+    probs = (sizes / m if w is None
+             else np.array([float(w[v]) for v in s[first].tolist()]))
     return GroupPartition(codes, sizes, probs)
 
 

@@ -40,6 +40,19 @@ def grid_cvar(Z, alpha, n_points=100_000):
                      f_min(v)))
 
 
+def reference_codes(values):
+    """Dict coder: codes in order of first appearance, plus the keys.
+
+    ``subgroup.first_appearance`` codes numeric arrays in numpy; on the
+    Python objects of the same values (an array's ``.tolist()``) this
+    gives the codes and keys it must reproduce.
+    """
+    seen = {}
+    codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
+                        dtype=int, count=len(values))
+    return codes, list(seen)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

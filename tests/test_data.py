@@ -1,15 +1,19 @@
 """Unit tests for ingestion, the synthetic benchmark, splitting, scaling."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import reference_codes
 
 from grouprisk import (AggregatorSpec, CsvSchema, Dataset, IngestionError,
                        InputError, LossSpec, ParameterError, SynthSpec, TrainConfig,
                        Scaler, generate_synth, load_csv, partition, split,
                        standardize, train)
 from grouprisk.metrics import evaluate
+from grouprisk.subgroup import first_appearance
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -351,6 +355,23 @@ class TestSplitEdges:
         a = assert_split_is_reference(first_neg)
         b = assert_split_is_reference(first_pos)
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_benchmark_csv_strata_at_workload_scale(self, tmp_path,
+                                                    monkeypatch):
+        # the (label, region) strata of the csv_train benchmark's file
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+        path = tmp_path / "train.csv"
+        workloads.write_csv(str(path), workloads.CsvTrain.ROWS, 1)
+        ds = load_csv(path, workloads.CsvTrain.SCHEMA)
+        groups, _ = first_appearance(ds.sensitive)
+        codes, first = first_appearance(2 * groups + (ds.labels > 0.0))
+        expected_codes, expected_keys = reference_codes(
+            list(zip(ds.labels.tolist(), ds.sensitive.tolist())))
+        np.testing.assert_array_equal(codes, expected_codes)
+        assert list(zip(ds.labels[first].tolist(),
+                        ds.sensitive[first].tolist())) == expected_keys
+        assert len(expected_keys) == 10
 
     def test_nan_falls_back_to_a_plain_shuffle(self):
         # no NaN equals another, so each NaN row is a stratum of one

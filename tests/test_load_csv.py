@@ -23,13 +23,13 @@ from grouprisk.errors import IngestionError, ParameterError
 from grouprisk.subgroup import Dataset, first_appearance
 
 
-def _parse_float(token, row, column):
+def _parse_float(path, token, row, column):
     try:
         return float(token)
     except ValueError:
         raise IngestionError(
-            f"row {row}, column {column!r}: cannot parse {token!r} as a number"
-        ) from None
+            f"{path}: row {row}, column {column!r}: cannot parse {token!r} "
+            f"as a number") from None
 
 
 def _one_hot(codes, n):
@@ -92,8 +92,8 @@ def reference_load_csv(path, schema):
                        schema.positive_label_token else -1.0 for row in rows])
 
     if schema.sensitive_kind == "real":
-        sensitive = np.array([_parse_float(row[col_index[sens_names[0]]], r,
-                                           sens_names[0])
+        sensitive = np.array([_parse_float(path, row[col_index[sens_names[0]]],
+                                           r, sens_names[0])
                               for r, row in enumerate(rows, start=2)])
     else:
         sensitive, levels = first_appearance(

@@ -151,6 +151,33 @@ class TestPairwiseDisagreement:
             brute = bad / (pos.size * neg.size)
             assert pairwise_disagreement(scores, labels) == pytest.approx(brute)
 
+    def test_one_search_keeps_the_bits_of_two(self, rng):
+        # untied scores take one binary search, tied ones two; both must
+        # give the bits of the two-search rank sum
+        def two_searches(scores, labels):
+            s, q = np.sort(scores), np.sort(scores[labels == 1.0])
+            n_pos, n_neg = q.size, scores.size - q.size
+            rank_sum = 0.5 * float((np.searchsorted(s, q, side="left")
+                                    + np.searchsorted(s, q, side="right")
+                                    + 1).sum())
+            return 1.0 - (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+        for m, decimals in ((7, None), (1001, 1), (1001, None), (50_000, 2),
+                            (50_000, None)):
+            scores = rng.normal(size=m)
+            if decimals is not None:
+                scores = np.round(scores, decimals)
+            labels = rng.choice([-1.0, 1.0], m)
+            labels[:2] = 1.0, -1.0
+            expected = two_searches(scores, labels)
+            assert pairwise_disagreement(scores, labels) == expected
+            # tied infinities, and NaN, which no comparison orders
+            for special in (np.inf, -np.inf, np.nan):
+                spoilt = scores.copy()
+                spoilt[[0, 1, m - 1]] = special
+                assert pairwise_disagreement(spoilt, labels) == \
+                    two_searches(spoilt, labels)
+
     def test_negation_complement_without_ties(self, rng):
         scores = rng.normal(size=30)
         labels = rng.choice([-1.0, 1.0], 30)

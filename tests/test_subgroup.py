@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import reference_codes
 from grouprisk import (Dataset, InputError, LinearModel, LossSpec,
-                       ParameterError, expectation, margins, partition,
-                       subgroup_risks, weighted_risk)
+                       ParameterError, SynthSpec, expectation, generate_synth,
+                       margins, partition, subgroup_risks, weighted_risk)
+from grouprisk.subgroup import first_appearance
 
 
 def toy_dataset():
@@ -182,6 +184,32 @@ class TestPartition:
                                      group_weighting=w))
             np.testing.assert_array_equal(part.group_ids, [0, 1, 0])
             np.testing.assert_array_equal(part.probs, [0.7, 0.3])
+
+
+class TestFirstAppearance:
+    def test_numpy_routes_match_the_dict(self):
+        # hypothesis is imported here, not at collection; see
+        # test_aggregator_properties
+        pytest.importorskip("hypothesis")
+        import grouping_properties
+        grouping_properties.numpy_routes_match_the_dict()
+
+    def test_synth_groups_at_workload_scale(self):
+        s = generate_synth(SynthSpec(m=1_000_000, seed=3)).sensitive
+        codes, first = first_appearance(s)
+        expected_codes, expected_keys = reference_codes(s.tolist())
+        np.testing.assert_array_equal(codes, expected_codes)
+        assert s[first].tolist() == expected_keys
+
+    def test_each_nan_is_its_own_group(self):
+        codes, first = first_appearance(np.array([np.nan, 1.0, np.nan, 1.0]))
+        np.testing.assert_array_equal(codes, [0, 1, 2, 1])
+        np.testing.assert_array_equal(first, [0, 1, 2])
+
+    def test_empty(self):
+        for values in ([], np.array([]), np.array([], dtype=int)):
+            codes, first = first_appearance(values)
+            assert codes.size == 0 and first.size == 0
 
 
 class TestSubgroupRisks:
