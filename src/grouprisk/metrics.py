@@ -114,15 +114,15 @@ def pairwise_disagreement(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("pairwise disagreement needs both classes")
     # A tied block's average rank is (#scores below + #scores at or below
-    # + 1) / 2; the integer sum is exact, and with no ties (nor NaN) the
+    # + 1) / 2; the integer sums are exact, and with no ties (nor NaN) the
     # second count is the first plus one.  Sorted queries keep the binary
     # searches cache-friendly.
     sorted_s = np.sort(s)
     s_pos = np.sort(s[pos])
-    below = np.searchsorted(sorted_s, s_pos, side="left")
-    at_or_below = (below + 1 if np.all(sorted_s[1:] > sorted_s[:-1])
-                   else np.searchsorted(sorted_s, s_pos, side="right"))
-    rank_sum = 0.5 * float((below + at_or_below + 1).sum())
+    below = int(np.searchsorted(sorted_s, s_pos, side="left").sum())
+    at_or_below = (below + n_pos if np.all(sorted_s[1:] > sorted_s[:-1]) else
+                   int(np.searchsorted(sorted_s, s_pos, side="right").sum()))
+    rank_sum = 0.5 * float(below + at_or_below + n_pos)
     auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return 1.0 - auc
 
