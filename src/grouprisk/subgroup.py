@@ -8,6 +8,7 @@ group, weighted by the group probabilities) that the risk measures in
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -281,15 +282,14 @@ def first_appearance(values):
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else ""
     if kind not in ("b", "i", "u", "f") or not values.size:
-        seen: dict = {}
-        codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
-                            dtype=int, count=len(values))
-        # the running maximum steps up by one at each code's first row
-        return codes, np.flatnonzero(np.diff(np.maximum.accumulate(codes),
-                                             prepend=-1))
+        # C-speed passes: each value's first row, then each row's code
+        rows: dict = {}
+        deque(map(rows.setdefault, values, range(len(values))), maxlen=0)
+        code = dict(zip(rows, range(len(rows))))
+        return (np.fromiter(map(code.__getitem__, values), int, len(values)),
+                np.fromiter(rows.values(), int, len(rows)))
     m, lo = values.size, values.min()
-    # Python numbers, so that an int64 span cannot wrap; NaN and inf fail
-    span = values.max().item() - lo.item()
+    span = values.max().item() - lo.item()  # as Python numbers: cannot wrap
     if span < m and (kind != "f" or np.array_equal(values, np.rint(values))):
         slots = np.subtract(values, lo, dtype=float if kind == "f" else np.intp)
         slots = slots.astype(np.intp, copy=False)
