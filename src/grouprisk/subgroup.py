@@ -186,9 +186,10 @@ class Dataset:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "sensitive", s)
-        w = self.group_weighting
-        if w is not None:
-            keys, seen = set(w), set(np.unique(s).tolist())
+        if self.group_weighting is not None:
+            w = self.group_weighting
+            keys = set(w.keys())
+            seen = set(np.unique(s).tolist())
             if keys != seen:
                 raise InputError(
                     f"group weighting keys {sorted(map(repr, keys))} do not cover "
@@ -298,8 +299,7 @@ def first_appearance(values):
     else:
         _, first, slots = np.unique(values, return_index=True,
                                     return_inverse=True, equal_nan=False)
-    # slots that no row holds have first == m and rank last
-    order = np.argsort(first)
+    order = np.argsort(first)  # slots no row holds (first == m) sort last
     return np.argsort(order)[slots], first[order[:np.count_nonzero(first < m)]]
 
 
