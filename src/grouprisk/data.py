@@ -101,10 +101,9 @@ class SplitResult(NamedTuple):
 def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult:
     """Shuffle rows into train and test, stratified by (label, group).
 
-    ``first_appearance`` codes the sensitive values, then those codes with
-    the label as one more bit.  Falls back to a plain shuffle (flagged in
-    the result) when some (label, group) cell has fewer than two rows, as
-    a NaN sensitive value always is.
+    Cells are coded by ``first_appearance`` (-0.0 and 0.0 in one group).
+    Falls back to a plain shuffle (flagged in the result) when some
+    (label, group) cell has fewer than two rows, as a NaN's always has.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError("train fraction must lie strictly in (0, 1)")
@@ -113,7 +112,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> SplitResult
         raise InputError(f"train fraction {train_fraction!r} leaves one side "
                          f"of a {m}-row split empty")
     rng = np.random.default_rng(seed)
-    target = min(max(int(round(train_fraction * m)), 1), m - 1)
+    target = int(round(train_fraction * m))
+    target = min(max(target, 1), m - 1)
 
     groups, _ = first_appearance(dataset.sensitive)
     codes, first = first_appearance(2 * groups + (dataset.labels > 0.0))
@@ -316,15 +316,15 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             bad_real = column[sens_names[0]]
     else:
         keys = [scanned(n) for n in sens_names]
-        sensitive, levels = first_appearance(
+        sensitive, first = first_appearance(
             keys[0] if len(keys) == 1 else list(zip(*keys)))
         del keys
     for name in sens_names:
         column.pop(name, None)
 
     # each feature column as floats, or a text column as its codes and
-    # levels in first-appearance order; a float parse already fails on a
-    # blank cell, so only the columns it rejects are scanned
+    # each code's first row, whose count is its one-hot width; a float
+    # parse already fails on a blank cell, so only those it rejects are scanned
     blocks = {}
     # (row, feature index, name, cell) of each float column's first
     # non-finite cell
@@ -367,7 +367,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     parts = [blocks[name] for name in feature_names]
     if schema.include_sensitive:
         parts.append(sensitive if schema.sensitive_kind == "real"
-                     else (sensitive, levels))
+                     else (sensitive, first))
     if not parts:
         raise IngestionError(f"{path}: no feature columns")
     widths = [1 if isinstance(p, np.ndarray) else len(p[1]) for p in parts]

@@ -114,9 +114,8 @@ def pairwise_disagreement(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("pairwise disagreement needs both classes")
     # A tied block's average rank is (#scores below + #scores at or below
-    # + 1) / 2; the integer sums are exact, and with no ties (nor NaN) the
-    # second count is the first plus one.  Sorted queries keep the binary
-    # searches cache-friendly.
+    # + 1) / 2, summed exactly in integers; with no ties (nor NaN) the second
+    # count is the first plus one.  Sorted queries help the binary searches.
     sorted_s = np.sort(s)
     s_pos = np.sort(s[pos])
     below = int(np.searchsorted(sorted_s, s_pos, side="left").sum())

@@ -210,10 +210,14 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset, preserving the group weighting when it still covers."""
-        s, w = self.sensitive[idx], self.group_weighting
-        if w is not None and set(w) != set(np.unique(s).tolist()):
-            w = None
-        return Dataset(self.features[idx], self.labels[idx], s, w)
+        sub_sensitive = self.sensitive[idx]
+        weighting = self.group_weighting
+        if weighting is not None:
+            seen = set(np.unique(sub_sensitive).tolist())
+            if set(weighting.keys()) != seen:
+                weighting = None
+        return Dataset(self.features[idx], self.labels[idx], sub_sensitive,
+                       weighting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,32 +279,29 @@ class LinearModel:
 def first_appearance(values):
     """Codes 0..n-1 in order of first appearance, plus each code's first row.
 
-    Values equal under ``==`` share a code, so -0.0 and 0.0 do (a key read
-    off the first row keeps its sign), and each NaN is its own.  Bool,
-    integer and float arrays are coded in numpy: by a table when they hold
-    finite integers spanning fewer numbers than rows, else by np.unique.
-    Text, tuples and lists are coded with a dict.
+    Values equal under ``==`` share a code: -0.0 and 0.0 do, NaNs never.
+    Numeric arrays of finite integers spanning fewer numbers than rows are
+    coded in numpy by a table of first rows, all other input by a dict.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else ""
-    if kind not in ("b", "i", "u", "f") or not values.size:
-        # C-speed passes: each value's first row, then each row's code
-        rows: dict = {}
-        deque(map(rows.setdefault, values, range(len(values))), maxlen=0)
-        code = dict(zip(rows, range(len(rows))))
-        return (np.fromiter(map(code.__getitem__, values), int, len(values)),
-                np.fromiter(rows.values(), int, len(rows)))
-    m, lo = values.size, values.min()
-    span = values.max().item() - lo.item()  # as Python numbers: cannot wrap
-    if span < m and (kind != "f" or np.array_equal(values, np.rint(values))):
-        slots = np.subtract(values, lo, dtype=float if kind == "f" else np.intp)
-        slots = slots.astype(np.intp, copy=False)
-        first = np.full(int(span) + 1, m)
-        np.minimum.at(first, slots, np.arange(m))
-    else:
-        _, first, slots = np.unique(values, return_index=True,
-                                    return_inverse=True, equal_nan=False)
-    order = np.argsort(first)  # slots no row holds (first == m) sort last
-    return np.argsort(order)[slots], first[order[:np.count_nonzero(first < m)]]
+    if kind in ("b", "i", "u", "f") and values.size:
+        m, lo = values.size, values.min()
+        span = values.max().item() - lo.item()  # Python numbers: no wrap
+        if span < m and (kind != "f" or np.array_equal(values, np.rint(values))):
+            slots = np.subtract(values, lo,
+                                dtype=float if kind == "f" else np.intp)
+            slots = slots.astype(np.intp, copy=False)
+            first = np.full(int(span) + 1, m)
+            np.minimum.at(first, slots, np.arange(m))
+            order = np.argsort(first)  # values no row holds (m) sort last
+            return np.argsort(order)[slots], np.sort(first[first < m])
+        values = values.tolist()
+    # C-speed passes: each value's first row, then each row's code
+    rows: dict = {}
+    deque(map(rows.setdefault, values, range(len(values))), maxlen=0)
+    code = dict(zip(rows, range(len(rows))))
+    return (np.fromiter(map(code.__getitem__, values), int, len(values)),
+            np.fromiter(rows.values(), int, len(rows)))
 
 
 def partition(dataset: Dataset, mode: str = "categorical") -> GroupPartition:

@@ -3,9 +3,9 @@ and keys of the dict coder ``conftest.reference_codes``, key types and
 signs of zero included.
 
 Arrays are drawn for each route: small-span integer, bool and
-integer-valued float arrays for the table, wide int64 and uint64 ranges,
-infinities, NaN and non-integer reals for ``np.unique``, and lists of
-text and tuples for the dict.  ``test_subgroup`` runs the property; see
+integer-valued float arrays for the table, and for the dict wide int64
+and uint64 ranges, infinities, NaN and non-integer reals (as arrays) and
+lists of text and tuples.  ``test_subgroup`` runs the property; see
 ``test_aggregator_properties`` for why this module is imported late.
 """
 
