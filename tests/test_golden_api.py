@@ -6,9 +6,12 @@ expectation, cvar and sd_penalty.  This suite pins, one SHA-256 per case:
 - ``check_axiom`` reports for every aggregator kind and fairness axiom;
 - ``check_inequality_axiom`` reports for four indices and every
   inequality axiom;
-- ``AggregatorSpec.value``, ``cvar`` and ``quantile`` over a seeded corpus
-  of 1 to 40 atoms with tied values, -0.0 next to +0.0 and zero
-  probabilities;
+- ``AggregatorSpec.value``, ``AggregatorSpec.weights``, ``cvar`` and
+  ``quantile`` over a seeded corpus of 1 to 40 atoms with tied values,
+  -0.0 next to +0.0 and zero probabilities;
+- ``LossSpec.values`` and ``grads`` for every loss kind on labels of +-1
+  and scores at 0, -0.0, the kink, +-1e300, +-inf and NaN, also as 0-d
+  inputs and broadcast against one score;
 - ``train`` reports (objective trace, weights, intercept, rho, final
   risks and metrics) for top_k at four k, and for per-instance and
   categorical cvar at four alphas, under the four training losses at
@@ -82,6 +85,14 @@ _VALUE_SPECS = {
 }
 
 
+def _weights(spec):
+    """``spec.weights`` with its array as a list, so repr keeps every bit."""
+    def fn(values, probs):
+        weights, rho = spec.weights(values, probs)
+        return np.asarray(weights).tolist(), rho
+    return fn
+
+
 def corpus(size=300, seed=16):
     """Seeded (values, probs) pairs of 1 to 40 atoms.
 
@@ -113,6 +124,30 @@ def corpus(size=300, seed=16):
 
 
 _TRAIN_LOSSES = ("hinge", "squared_hinge", "logistic", "linear")
+
+
+def loss_inputs(seed=23):
+    """(labels, scores) pairs of +-1 labels: every label against the edge
+    scores and the kink y * s = 1, seeded normal scores, 0-d pairs, and
+    the labels against one 0-d score."""
+    edges = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    y = np.repeat([1.0, -1.0], len(edges))
+    s = np.array(edges * 2)
+    rng = np.random.default_rng(seed)
+    y2 = rng.choice([-1.0, 1.0], 50)
+    out = [(y, s), (y2, rng.normal(size=50) * 3.0), (y, np.float64(0.5))]
+    out += [(np.float64(label), np.float64(score))
+            for label in (1.0, -1.0) for score in edges]
+    return out
+
+
+def _loss_case(fn):
+    """Case text: one line per ``loss_inputs`` pair, the result's shape
+    and its values."""
+    def line(y, s):
+        out = fn(y, s)
+        return np.shape(out), np.asarray(out).tolist()
+    return lambda: "\n".join(_line(line, y, s) for y, s in loss_inputs())
 
 _TRAIN_SIZES = (1, 7, 400)
 
@@ -246,11 +281,16 @@ def cases() -> dict:
                 check_inequality_axiom, index, ax, len(out))
     for name, spec in _VALUE_SPECS.items():
         out[f"value_{name}"] = _corpus_case(spec.value)
+        out[f"weights_{name}"] = _corpus_case(_weights(spec))
     for name, alpha in _ALPHAS.items():
         out[f"cvar_{name}"] = _corpus_case(
             lambda v, p, a=alpha: cvar(DiscreteRandomVariable(v, p), a))
         out[f"quantile_{name}"] = _corpus_case(
             lambda v, p, a=alpha: quantile(DiscreteRandomVariable(v, p), a))
+    for kind in ("zero_one",) + _TRAIN_LOSSES:
+        loss = LossSpec(kind)
+        out[f"loss_values_{kind}"] = _loss_case(loss.values)
+        out[f"loss_grads_{kind}"] = _loss_case(loss.grads)
     out.update(_train_cases())
     return out
 
