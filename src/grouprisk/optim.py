@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .riskvar import AggregatorSpec, DiscreteRandomVariable
+from .riskvar import AggregatorSpec, DiscreteRandomVariable, _check_alpha
 from .subgroup import (Dataset, GroupPartition, LinearModel, LossSpec,
                        group_risk_vector, partition)
 
@@ -124,8 +124,7 @@ def cvar_objective(model: LinearModel, rho: float, dataset: Dataset,
     With uniform group probabilities this is the empirical tail-average
     objective over the subgroup risks.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     risks = group_risk_vector(model, dataset, part, loss)
     excess = np.maximum(risks - rho, 0.0)
     return (rho + float(np.dot(part.probs, excess)) / (1.0 - alpha)
@@ -142,8 +141,7 @@ def subgradient(model: LinearModel, rho: float, dataset: Dataset,
     strict tail contributes; at smooth points this matches central finite
     differences.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     risks = group_risk_vector(model, dataset, part, loss)
     inv = 1.0 / (1.0 - alpha)
     active = risks > rho

@@ -36,13 +36,14 @@ that choice behind two methods on parallel (values, probs) arrays:
 ``value`` returns the risk, ignoring zero-probability atoms, and
 ``weights`` one weight per atom (the risk-envelope element of the dual
 view) whose dot product with the values reproduces the risk, so the
-weights are a subgradient in the atom values.  top_k is cvar at level
-1 - k/n over its n equal-probability atoms, and the plain expectation at
-k = n.  ``check_axiom`` is a
-seeded falsifier that searches for counterexamples to the risk-measure
-axioms (convexity, positive homogeneity, monotonicity, continuity along
-segments, translation, aversity, law invariance, behaviour on constants,
-and nonnegativity of the induced deviation).
+weights are a subgradient in the atom values; a risk that is not finite
+has none (None).  top_k is cvar at level 1 - k/n over its n
+equal-probability atoms, and the plain expectation at k = n.
+``check_axiom`` is a seeded falsifier that searches for counterexamples
+to the risk-measure axioms (convexity, positive homogeneity,
+monotonicity, continuity along segments, translation, aversity, law
+invariance, behaviour on constants, and nonnegativity of the induced
+deviation).
 """
 
 from __future__ import annotations
@@ -198,32 +199,26 @@ class AggregatorSpec:
         With no positive-probability atom, cvar, top_k and max raise
         ``ParameterError``; expectation and sd_penalty return 0.0.
 
-        Atoms that are not finite give no numpy warning.  The expectation,
-        and top_k at k = n, gives nan if a positive-probability atom is NaN
-        or if there are both +inf and -inf ones, else inf or -inf with an
-        infinite one.  For cvar and top_k at k < n, atoms that are not
-        finite give nan if one is
-        NaN, else inf if one is +inf; -inf atoms give -inf when they hold
-        more than the level alpha (1 - k/n) by over ``PROB_TOL``, else they
-        drop out of the tail.  sd_penalty gives nan if a positive-probability
-        atom is NaN, or if there are both +inf and -inf ones; otherwise an
-        infinite atom makes the sd inf unless every atom is equal, so
-        mean + lam * sd is inf with a +inf atom, and with -inf atoms -inf
-        when lam = 0 or every atom is -inf, else nan (-inf + inf).
+        Atoms that are not finite give no numpy warning.  A NaN atom, or
+        both +inf and -inf ones, make the mean nan, else an infinite atom
+        makes it inf or -inf; the expectation (and top_k at k = n) is that
+        mean.  sd_penalty adds lam * inf to it for lam > 0 unless every atom
+        is equal, so -inf atoms then give nan (-inf + inf).  For cvar and
+        top_k at k < n, a NaN atom gives nan, else a +inf atom inf; -inf
+        atoms give -inf when they hold more than the level alpha (1 - k/n)
+        by over ``PROB_TOL``, else they drop out of the tail.
         """
         if self.kind == "expectation":
             mean = _quiet_mean(values, probs)
             if math.isfinite(mean):
                 return mean
-            # a zero-probability inf or NaN atom gives 0 * inf = nan
-            mask = np.asarray(probs) > 0.0
-            return _quiet_mean(np.asarray(values)[mask], np.asarray(probs)[mask])
+            return _mean_sd_extended(values, probs, None)
         if self.kind == "sd_penalty":
             mean = _quiet_mean(values, probs)
             # an inf or NaN atom, even at zero probability, makes the mean
             # non-finite; the moments of such atoms warn
             if not math.isfinite(mean):
-                return _sd_penalty_extended(values, probs, self.lam)
+                return _mean_sd_extended(values, probs, self.lam)
             return mean + self.lam * _moments(values, probs, mean)[2]
         _, v, p = _positive_atoms(values, probs)
         if self.kind == "max":
@@ -236,39 +231,17 @@ class AggregatorSpec:
     def weights(self, values: np.ndarray, probs: np.ndarray):
         """Per-atom weights c with ``value`` = dot(c, values), and rho or None.
 
-        cvar and top_k return the risk envelope at the exact threshold rho,
-        the lower quantile of the positive-probability atoms: p/(1 - alpha)
-        above rho and the fractional share on the atoms at rho that brings
-        the tail mass to 1 - alpha.  max spreads the weight evenly over the
-        atoms within 1e-12 of the largest; sd_penalty returns
-        p(1 + lam (v - mean)/sd), or p on a constant variable.  When an atom
-        is inf or NaN, dot(c, values) is not a number; sd_penalty then
-        gives zero-probability atoms weight 0 and the others the weights of
-        the positive-probability atoms alone, or NaN if one of those is not
-        finite.
+        expectation (and top_k at k = n): ``probs``.  cvar and top_k: the
+        risk envelope at the threshold rho, the lower quantile of the
+        positive-probability atoms; p/(1 - alpha) above rho, and on the
+        atoms at rho the share that brings the tail mass to 1 - alpha.  max:
+        an even split over the positive-probability atoms within 1e-12 of
+        the largest.  sd_penalty: p(1 + lam (v - mean)/sd), or p on a
+        constant variable; over the positive-probability atoms alone when a
+        zero-probability one is not finite.  None, with cvar's rho, when
+        ``value`` is not finite.
         """
-        if self.kind == "expectation":
-            return probs, None
-        if self.kind == "sd_penalty":
-            mean = _quiet_mean(values, probs)
-            if math.isfinite(mean):
-                return _sd_weights(values, probs, self.lam, mean), None
-            mask = probs > 0.0
-            v, p = values[mask], probs[mask]
-            mean = _quiet_mean(v, p)
-            weights = np.zeros_like(probs)
-            weights[mask] = (_sd_weights(v, p, self.lam, mean)
-                             if math.isfinite(mean) else math.nan)
-            return weights, None
-        mask, v, p = _positive_atoms(values, probs)
-        if self.kind == "max":
-            top = mask & (values >= v.max() - 1e-12)
-            return top / float(top.sum()), None
-        alpha = self._tail_level(p)
-        if alpha is None:
-            return probs, None
-        rho = _quantile_value(v, p, alpha)
-        return _envelope(values, probs, alpha, rho), rho
+        return self._value_weights(values, probs)[1:]
 
     def _equal_atoms(self, probs: np.ndarray):
         """What ``_value_weights`` fixes once for a run of calls whose
@@ -286,7 +259,7 @@ class AggregatorSpec:
 
     def _value_weights(self, values: np.ndarray, probs: np.ndarray,
                        equal=None):
-        """(``value``, weights, rho) with the bits of ``value`` and ``weights``.
+        """(``value``, ``weights``): the one place that builds the weights.
 
         cvar and top_k merge the atoms once for both the value and rho.  No
         kind gives weights (None) when the value is not finite: a NaN
@@ -299,7 +272,12 @@ class AggregatorSpec:
             value = self.value(values, probs)
             if not math.isfinite(value):
                 return value, None, None
-            return (value, *self.weights(values, probs))
+            if self.kind == "expectation":
+                return value, probs, None
+            if self.kind == "max":
+                top = (probs > 0.0) & (values >= value - 1e-12)
+                return value, top / float(top.sum()), None
+            return value, _sd_weights(values, probs, self.lam), None
         if equal is None:
             _, v, p = _positive_atoms(values, probs)
             alpha = self._tail_level(p)
@@ -344,32 +322,38 @@ def _quiet_mean(values: np.ndarray, probs: np.ndarray) -> float:
     return float(np.dot(values, probs)) if mean == 0.0 else mean
 
 
-def _sd_weights(values: np.ndarray, probs: np.ndarray, lam: float,
-                mean: float) -> np.ndarray:
-    """p(1 + lam (v - mean)/sd), or p on a constant variable."""
+def _sd_weights(values: np.ndarray, probs: np.ndarray, lam: float):
+    """sd_penalty's ``weights`` at a finite value: 0 on zero-probability
+    atoms when one of them is inf or NaN, as the others are then finite."""
+    mean = _quiet_mean(values, probs)
+    if not math.isfinite(mean):
+        mask = probs > 0.0
+        weights = np.zeros_like(probs)
+        weights[mask] = _sd_weights(values[mask], probs[mask], lam)
+        return weights
     _, centred, sd = _moments(values, probs, mean)
     if sd > 0.0:
         return probs * (1.0 + lam * centred / sd)
     return probs.copy()
 
 
-def _sd_penalty_extended(values: np.ndarray, probs: np.ndarray,
-                         lam: float) -> float:
-    """sd_penalty's value when the mean of all atoms is not finite, as
-    ``value`` documents."""
-    mask = probs > 0.0
-    v, p = values[mask], probs[mask]
-    if not v.size:
-        return 0.0
+def _mean_sd_extended(values: np.ndarray, probs: np.ndarray,
+                      lam: Optional[float]) -> float:
+    """The expectation (``lam`` None) or sd_penalty's value when the mean of
+    all atoms is not finite, as ``value`` documents: over the
+    positive-probability atoms alone, 0.0 when there are none."""
+    mask = np.asarray(probs) > 0.0
+    v, p = np.asarray(values)[mask], np.asarray(probs)[mask]
+    mean = _quiet_mean(v, p)
+    if lam is None or not v.size:
+        return mean
     lo, hi = float(v.min()), float(v.max())
     if math.isfinite(lo) and math.isfinite(hi):
         # zero-probability atoms held the non-finite values, or the mean of
         # finite ones overflowed
-        mean, _, sd = _moments(v, p)
-        return mean + lam * sd
-    if math.isnan(lo) or math.isnan(hi) or (lo == -math.inf and hi == math.inf):
+        return mean + lam * _moments(v, p, mean)[2]
+    if math.isnan(mean):  # a NaN atom, or both +inf and -inf ones
         return math.nan
-    mean = hi if hi == math.inf else lo
     return mean + lam * math.inf if lam > 0.0 and lo != hi else mean
 
 
@@ -437,21 +421,11 @@ def _quantile_merged(uv: np.ndarray, up: np.ndarray, alpha: float) -> float:
     return float(uv[idx])
 
 
-def _quantile_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """Lower quantile inf{z : F(z) >= alpha} over merged, sorted atoms.
-
-    Callers pass positive-probability atoms only: with alpha within
-    ``PROB_TOL`` of 0 a zero-probability atom below the support would
-    otherwise be returned.
-    """
-    return _quantile_merged(*_merge(values, probs), alpha)
-
-
 def quantile(Z: DiscreteRandomVariable, alpha: float) -> float:
     """Lower quantile of Z at level alpha in (0, 1)."""
     _check_alpha(alpha)
-    v, p = Z.support()
-    return _quantile_value(v, p, alpha)
+    # the support only: at alpha near 0 a zero-probability atom below wins
+    return _quantile_merged(*_merge(*Z.support()), alpha)
 
 
 def _cvar_value(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:

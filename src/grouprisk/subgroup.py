@@ -22,61 +22,17 @@ LOSS_KINDS = ("zero_one", "hinge", "squared_hinge", "logistic", "linear")
 PARTITION_MODES = ("categorical", "per_instance")
 
 
-def _hinge(y, s):
-    return np.maximum(0.0, 1.0 - y * s)
-
-
-def _hinge_grad(y, s):
-    # subgradient 0 at the kink y*s == 1
-    return np.where(1.0 - y * s > 0.0, -y, 0.0)
-
-
 def _margin_in_place(y, s):
-    """max(0, 1 - y*s) with the bits of ``_hinge``, written into s."""
+    """max(0, 1 - y*s), the hinge loss, written into s."""
     np.multiply(y, s, out=s)
     np.subtract(1.0, s, out=s)
     return np.maximum(0.0, s, out=s)
-
-
-def _squared_hinge(y, s):
-    return _hinge(y, s) ** 2
-
-
-def _squared_hinge_grad(y, s):
-    return -2.0 * y * _hinge(y, s)
-
-
-def _logistic(y, s):
-    # log(1 + exp(-y*s)) without overflow
-    return np.logaddexp(0.0, -y * s)
-
-
-def _logistic_grad(y, s):
-    # -y * sigmoid(-y*s), tanh form is stable for large |s|
-    return -y * 0.5 * (1.0 + np.tanh(-0.5 * y * s))
 
 
 def _zero_one(y, s):
     # sign(0) counts as +1
     pred = np.where(s >= 0.0, 1.0, -1.0)
     return (pred != y).astype(float)
-
-
-def _linear(y, s):
-    return -y * s
-
-
-def _linear_grad(y, s):
-    return -y * np.ones_like(s)
-
-
-_LOSS_TABLE = {
-    "zero_one": (_zero_one, None),
-    "hinge": (_hinge, _hinge_grad),
-    "squared_hinge": (_squared_hinge, _squared_hinge_grad),
-    "logistic": (_logistic, _logistic_grad),
-    "linear": (_linear, _linear_grad),
-}
 
 
 @dataclass(frozen=True)
@@ -98,25 +54,37 @@ class LossSpec:
         return self.kind != "zero_one"
 
     def values(self, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        fn, _ = _LOSS_TABLE[self.kind]
-        return fn(np.asarray(labels, float), np.asarray(scores, float))
+        """Loss per score: max(0, 1 - y*s), its square, log(1 + exp(-y*s)),
+        -y*s, or zero_one's 1 where the sign of s (+1 at 0) is not y.
+
+        Values and ``grads`` have the bits of these closed forms for any
+        finite labels unless a product over- or underflows, as multiplying
+        by -1, -2 or -0.5 is exact otherwise; but the hinge grad at a +0.0
+        label is +0.0, not -y = -0.0.
+        """
+        if self.kind == "zero_one":
+            return _zero_one(np.asarray(labels, float), np.asarray(scores, float))
+        return self._values_grads(labels, scores)[0]
 
     def grads(self, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Subgradient of the loss with respect to the score, elementwise."""
-        _, gn = _LOSS_TABLE[self.kind]
-        if gn is None:
-            raise ParameterError(f"loss {self.kind!r} has no subgradient")
-        return gn(np.asarray(labels, float), np.asarray(scores, float))
+        return self._values_grads(labels, scores)[1]
+
+    def _values_grads(self, labels, scores):
+        """``_values_grads_into``'s step on a float copy of the broadcast
+        scores; numpy scalars for 0-d inputs."""
+        y, s = np.broadcast_arrays(np.asarray(labels, float),
+                                   np.asarray(scores, float))
+        v, g = s.astype(float), np.empty(s.shape)
+        self._values_grads_into(y)(..., v, g)
+        return v[()], g[()]
 
     def _values_grads_into(self, labels: np.ndarray):
         """Function ``step(blk, v, g)`` for a slice ``blk`` of the rows.
 
         ``v[blk]`` holds the scores on entry; ``step`` writes the loss
-        values there and the grads into ``g[blk]``, with the bits of
-        ``values`` and ``grads`` for labels of +-1, in place, so a call
-        allocates nothing row-sized.  With y = +-1, y * x is exact and
-        then one multiplication by -1, -2 or -0.5 rounds once, as -y * x,
-        -2y * x and -0.5y * x do (a NaN keeps its sign either way).
+        values there and the grads into ``g[blk]``, in place, so a call
+        allocates nothing row-sized.  ``values`` and ``grads`` run it too.
         """
         y = np.asarray(labels, float)
         if self.kind == "hinge":
@@ -149,7 +117,6 @@ class LossSpec:
             def step(blk, v, g):
                 s = np.multiply(y[blk], v[blk], out=v[blk])
                 s *= -1.0
-                # -y * ones_like(s) is -y
                 np.multiply(y[blk], -1.0, out=g[blk])
         else:
             raise ParameterError(f"loss {self.kind!r} has no subgradient")

@@ -151,13 +151,12 @@ def _bits(x):
 @settings(max_examples=200, deadline=None)
 @given(specs_with_atoms(alphas=EDGE_ALPHAS))
 def fused_call_matches_value_and_weights(case):
-    # the training epoch's single call has the bits of the two public ones
+    # the training epoch's single call has the bits of ``value``; the
+    # public ``weights`` is that call's tail, so the weights digests and
+    # the properties above check the weights
     spec, values, probs = case
-    value, weights, rho = spec._value_weights(values, probs)
-    expected_weights, expected_rho = spec.weights(values, probs)
+    value, _, _ = spec._value_weights(values, probs)
     assert _bits(value) == _bits(spec.value(values, probs))
-    assert _bits(weights) == _bits(expected_weights)
-    assert _bits(rho) == _bits(expected_rho)
 
 
 @settings(max_examples=300, deadline=None)

@@ -53,6 +53,20 @@ def reference_codes(values):
     return codes, list(seen)
 
 
+def closed_form_loss(kind, y, s):
+    """Values and grads of a training loss by its closed form; the
+    reference for ``LossSpec``, whose one-pass step must give these bits."""
+    hinge = np.maximum(0.0, 1.0 - y * s)
+    if kind == "hinge":
+        return hinge, np.where(1.0 - y * s > 0.0, -y, 0.0)
+    if kind == "squared_hinge":
+        return hinge ** 2, -2.0 * y * hinge
+    if kind == "logistic":
+        return (np.logaddexp(0.0, -y * s),
+                -y * 0.5 * (1.0 + np.tanh(-0.5 * y * s)))
+    return -y * s, -y * np.ones_like(s)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

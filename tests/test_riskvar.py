@@ -215,10 +215,11 @@ class TestAggregate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = spec.value(values, probs)
-            fused, weights, _ = spec._value_weights(values, probs)
+            fused, weights, rho = spec._value_weights(values, probs)
+            public = spec.weights(values, probs)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         # training's fused call gives the same value, and finite weights
-        # with it or none
+        # with it or none, as the public weights do
         np.testing.assert_array_equal(fused, got)
         if np.isfinite(got):
             assert np.isfinite(weights).all()
@@ -226,6 +227,7 @@ class TestAggregate:
             assert not weights[probs == 0.0].any()
         else:
             assert weights is None
+            np.testing.assert_equal(public, (None, rho))
 
     @pytest.mark.parametrize("spec", [AggregatorSpec.cvar(0.5),
                                       AggregatorSpec.top_k(1),

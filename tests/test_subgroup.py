@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_codes
+from conftest import closed_form_loss, reference_codes
 from grouprisk import (Dataset, InputError, LinearModel, LossSpec,
                        ParameterError, SynthSpec, expectation, generate_synth,
                        margins, partition, subgroup_risks, weighted_risk)
@@ -64,22 +64,41 @@ class TestLosses:
             LossSpec("absolute")
 
     def test_one_pass_values_and_grads_keep_the_bits(self, rng):
-        # the training epoch's in-place pass, whole and in two blocks, at
-        # the kink, off the float range and on a NaN score included
+        # the training epoch's in-place pass, whole and in two blocks, and
+        # the public values and grads give the closed forms' bits, at the
+        # kink, off the float range and on a NaN score included
         y = rng.choice([-1.0, 1.0], 400)
         s = np.concatenate([rng.normal(size=379) * 3, y[379:395],
                             [0.0, -0.0, 1e300, -np.inf, np.nan]])
         for kind in ("hinge", "squared_hinge", "logistic", "linear"):
             loss = LossSpec(kind)
             step = loss._values_grads_into(y)
-            for blocks in ([slice(0, 400)], [slice(0, 236), slice(236, 400)]):
-                v, g = s.copy(), np.empty_like(s)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    expected = (loss.values(y, s), loss.grads(y, s))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = closed_form_loss(kind, y, s)
+                got = [(loss.values(y, s), loss.grads(y, s))]
+                for blocks in ([slice(0, 400)], [slice(0, 236), slice(236, 400)]):
+                    v, g = s.copy(), np.empty_like(s)
                     for blk in blocks:
                         step(blk, v, g)
-                for a, b in zip((v, g), expected):
-                    assert a.tobytes() == b.tobytes(), (kind, len(blocks))
+                    got.append((v, g))
+            for i, pair in enumerate(got):
+                for a, b in zip(pair, expected):
+                    assert a.tobytes() == b.tobytes(), (kind, i)
+
+    def test_closed_forms_for_any_finite_label(self):
+        # hypothesis is imported here, not at collection; see
+        # test_aggregator_properties
+        pytest.importorskip("hypothesis")
+        import loss_properties
+        loss_properties.closed_forms_for_any_finite_label()
+
+    def test_zero_d_inputs_give_numpy_scalars(self):
+        for kind in ("zero_one", "hinge", "squared_hinge", "logistic", "linear"):
+            loss = LossSpec(kind)
+            calls = (loss.values, loss.grads) if loss.convex else (loss.values,)
+            for call in calls:
+                for y, s in ((1.0, 0.5), (np.float64(-1.0), np.array(2.0))):
+                    assert type(call(y, s)) is np.float64, (kind, call)
 
     def test_convexity_along_chords(self, rng):
         for kind in ("hinge", "squared_hinge", "logistic", "linear"):
