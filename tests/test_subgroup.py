@@ -76,7 +76,8 @@ class TestLosses:
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = closed_form_loss(kind, y, s)
                 got = [(loss.values(y, s), loss.grads(y, s))]
-                for blocks in ([slice(0, 400)], [slice(0, 236), slice(236, 400)]):
+                for blocks in ([slice(0, 400)],
+                               [slice(0, 236), slice(236, 400)]):
                     v, g = s.copy(), np.empty_like(s)
                     for blk in blocks:
                         step(blk, v, g)
