@@ -108,6 +108,8 @@ def cases() -> dict:
     out["sweep_csv_real"] = ("sweep", *_csv_flags(
         "income", "--sensitive-kind", "real"), "--alphas", "0.3,0.8",
         "--loss", "logistic", "--epochs", "20")
+    out["axioms_expectation_fairness"] = ("axioms", "--measure",
+                                          "expectation", "--trials", "100")
     out["axioms_cvar_fairness"] = ("axioms", "--measure", "cvar:0.7",
                                    "--trials", "100")
     out["axioms_sd_fairness"] = ("axioms", "--measure", "sd:2.5", "--trials",
