@@ -33,20 +33,25 @@ from .inequality import (INEQUALITY_AXIOMS, check_inequality_axiom,
 SWEEP_HEADER = ("alpha,risk,subgroup_gap,dp_violation,mean_difference,"
                 "pairwise_disagreement")
 
-# Axioms each measure is expected to fail.  The mean-plus-deviation
-# aggregator is convex (a seminorm plus a linear map), so its genuine
-# failure among the risk axioms is monotonicity F3, and the tail-average
-# index keeps ties under transfers confined below its quantile, which
-# breaks the strict Schur-convexity check I3 and with it I7.
-FAIRNESS_EXPECTED_FAILURES = {
-    "expectation": {"F6", "F9"},
-    "cvar": set(),
-    "sd": {"F3"},
-}
-INEQUALITY_EXPECTED_FAILURES = {
-    "expectation": {"I3", "I5", "I7"},
-    "cvar": {"I3", "I7"},
-    "sd": set(),
+# Per suite: its axioms, its falsifier, and per measure family the subject
+# built from the parameter and the axioms it is expected to fail.  The
+# mean-plus-deviation aggregator is convex (a seminorm plus a linear map),
+# so its genuine failure among the risk axioms is monotonicity F3, and the
+# tail-average index keeps ties under transfers confined below its
+# quantile, which breaks the strict Schur-convexity check I3 and with it I7.
+MEASURES = {
+    "fairness": (FAIRNESS_AXIOMS, check_axiom, {
+        "expectation": (lambda _: AggregatorSpec.expectation(), {"F6", "F9"}),
+        "cvar": (AggregatorSpec.cvar, set()),
+        "sd": (AggregatorSpec.sd_penalty, {"F3"}),
+    }),
+    "inequality": (INEQUALITY_AXIOMS, check_inequality_axiom, {
+        "expectation": (lambda _: from_deviation("zero_deviation",
+                                                 lambda Z: 0.0),
+                        {"I3", "I5", "I7"}),
+        "cvar": (cvar_inequality, {"I3", "I7"}),
+        "sd": (coefficient_of_variation, set()),
+    }),
 }
 
 
@@ -54,14 +59,21 @@ def _parse_measure(tag: str):
     """Parse expectation | cvar:alpha | sd:lambda into (family, parameter)."""
     if tag == "expectation":
         return "expectation", None
-    if ":" in tag:
-        family, _, raw = tag.partition(":")
-        if family in ("cvar", "sd"):
-            try:
-                return family, float(raw)
-            except ValueError:
-                raise ParameterError(f"bad measure parameter in {tag!r}") from None
-    raise ParameterError(f"unknown measure tag {tag!r}")
+    family, colon, raw = tag.partition(":")
+    if not colon or family not in ("cvar", "sd"):
+        raise ParameterError(f"unknown measure tag {tag!r}")
+    try:
+        param = float(raw)
+    except ValueError:
+        raise ParameterError(f"bad measure parameter in {tag!r}") from None
+    if family == "cvar" and not 0.0 < param < 1.0:
+        raise ParameterError("cvar measure needs alpha strictly in (0, 1)")
+    if family == "sd" and param < 0.0:
+        raise ParameterError("sd measure needs lambda >= 0")
+    if family == "sd" and param == 0.0:
+        # a zero penalty is the plain expectation; use its table
+        return "expectation", None
+    return family, param
 
 
 def _aggregator_from_flags(args) -> AggregatorSpec:
@@ -100,12 +112,6 @@ def _partition_mode(args) -> str:
     return "categorical"
 
 
-def _check_train_frac(args):
-    if not 0.0 < args.train_frac <= 1.0:
-        raise ParameterError(
-            f"--train-frac must lie in (0, 1], got {args.train_frac!r}")
-
-
 def _config(args, aggregator: AggregatorSpec) -> TrainConfig:
     return TrainConfig(aggregator=aggregator,
                        loss=LossSpec(args.loss),
@@ -127,7 +133,9 @@ def _prepare(args, aggregators):
     ``--train-frac 1``) and whether the split was stratified.
     """
     dataset = _load_dataset(args)
-    _check_train_frac(args)
+    if not 0.0 < args.train_frac <= 1.0:
+        raise ParameterError(
+            f"--train-frac must lie in (0, 1], got {args.train_frac!r}")
     configs = [_config(args, aggregator) for aggregator in aggregators()]
     if args.train_frac < 1.0:
         # split randomness derives from the run seed, offset so the draw
@@ -185,16 +193,14 @@ def _check_output(output):
 
 
 def _emit(text: str, output):
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
         except OSError as exc:
             raise ParameterError(
                 f"--output {output}: cannot write ({exc.strerror})") from None
@@ -260,9 +266,8 @@ def cmd_sweep(args) -> int:
                 _fmt(np.dot(part.probs, ev.subgroup_risks.values)),
                 _fmt(ev.subgroup_loss_gap),
                 _fmt(ev.dp_violation),
-                _fmt(ev.mean_difference) if ev.mean_difference is not None else "",
-                _fmt(ev.pairwise_disagreement)
-                if ev.pairwise_disagreement is not None else "",
+                _fmt(ev.mean_difference),
+                _fmt(ev.pairwise_disagreement),
             ]))
     except NumericalError:
         _emit("\n".join(lines), args.output)
@@ -273,44 +278,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_axioms(args) -> int:
     family, param = _parse_measure(args.measure)
-    if family == "cvar" and not 0.0 < param < 1.0:
-        raise ParameterError("cvar measure needs alpha strictly in (0, 1)")
-    if family == "sd" and param < 0.0:
-        raise ParameterError("sd measure needs lambda >= 0")
-    if family == "sd" and param == 0.0:
-        # a zero penalty is the plain expectation; use its table
-        family, param = "expectation", None
-
-    results = {}
-    if args.suite == "fairness":
-        if family == "expectation":
-            measure = AggregatorSpec.expectation()
-        elif family == "cvar":
-            measure = AggregatorSpec.cvar(param)
-        else:
-            measure = AggregatorSpec.sd_penalty(param)
-        expected_failures = FAIRNESS_EXPECTED_FAILURES[family]
-        for i, ax in enumerate(FAIRNESS_AXIOMS):
-            rep = check_axiom(measure, ax, args.trials, rng_seed=args.seed + i)
-            results[ax] = rep.to_dict()
-    else:
-        if family == "expectation":
-            index = from_deviation("zero_deviation", lambda Z: 0.0)
-        elif family == "cvar":
-            index = cvar_inequality(param)
-        else:
-            index = coefficient_of_variation(param)
-        expected_failures = INEQUALITY_EXPECTED_FAILURES[family]
-        for i, ax in enumerate(INEQUALITY_AXIOMS):
-            rep = check_inequality_axiom(index, ax, args.trials, seed=args.seed + i)
-            results[ax] = rep.to_dict()
-
-    mismatches = []
-    for ax, rep in results.items():
-        expected_pass = ax not in expected_failures
-        rep["expected_pass"] = expected_pass
-        if rep["passed"] != expected_pass:
+    axioms, check, families = MEASURES[args.suite]
+    build, expected_failures = families[family]
+    subject = build(param)
+    results, mismatches = {}, []
+    for i, ax in enumerate(axioms):
+        rep = check(subject, ax, args.trials, args.seed + i).to_dict()
+        rep["expected_pass"] = ax not in expected_failures
+        if rep["passed"] != rep["expected_pass"]:
             mismatches.append(ax)
+        results[ax] = rep
     payload = {
         "tool": "grouprisk",
         "version": __version__,
@@ -392,18 +369,11 @@ def main(argv=None) -> int:
     try:
         _check_output(args.output)
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except GroupRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, InputError):
+            return 3
+        return 4 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

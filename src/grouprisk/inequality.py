@@ -121,14 +121,8 @@ def cvar_inequality(alpha: float) -> InequalityMeasure:
 
 def spread_over_mean() -> InequalityMeasure:
     """Max-min spread normalised by the mean; 0 on an all-zero vector."""
-
-    def fn(v: np.ndarray) -> float:
-        mean = float(v.mean())
-        if mean == 0.0:
-            return 0.0
-        return float(np.ptp(v)) / mean
-
-    return InequalityMeasure("spread_over_mean", fn)
+    return InequalityMeasure("spread_over_mean",
+                             _over_mean(lambda v, p: np.ptp(v)))
 
 
 def deviation_from_inequality(x, index: Callable[[np.ndarray], float]) -> float:

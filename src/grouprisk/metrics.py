@@ -6,7 +6,7 @@ group partition; none of them enter the training objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,16 +35,8 @@ class EvaluationReport:
     subgroup_risks: DiscreteRandomVariable
 
     def to_dict(self) -> dict:
-        return {
-            "zero_one_risk": self.zero_one_risk,
-            "subgroup_zero_one": self.subgroup_zero_one,
-            "mean_difference": self.mean_difference,
-            "dp_violation": self.dp_violation,
-            "covariance": self.covariance,
-            "mutual_information_nats": self.mutual_information_nats,
-            "pairwise_disagreement": self.pairwise_disagreement,
-            "subgroup_loss_gap": self.subgroup_loss_gap,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "subgroup_risks"}
 
 
 def predictions_from_scores(scores: np.ndarray) -> np.ndarray:

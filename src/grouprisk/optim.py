@@ -6,13 +6,14 @@ zero initialisation.  Each pass scores the current iterate once and takes
 the loss values and gradients from one pass over the scores.  The group
 risks give the objective and the descent direction, one coefficient per
 group on that group's mean loss gradient, from one aggregator call with
-the bits of ``AggregatorSpec.value`` and ``AggregatorSpec.weights``.  For the cvar aggregator the scalar threshold rho of the
-variational form is not descended: the weights are taken at the exact
-minimiser for the current model, the lower alpha-quantile of the subgroup
-risks.  The top-k aggregator always trains on the per-instance partition,
-where it is cvar at alpha = 1 - k/m (the plain mean at k = m), so its
-objectives and optimisation traces coincide with per-instance cvar
-training at that alpha.
+the bits of ``AggregatorSpec.value`` and ``AggregatorSpec.weights``.  For
+the cvar aggregator the scalar threshold rho of the variational form is
+not descended: the weights are taken at the exact minimiser for the
+current model, the lower alpha-quantile of the subgroup risks.  The top-k
+aggregator always trains on the per-instance partition, where it is cvar
+at alpha = 1 - k/m (the plain mean at k = m), so its objectives and
+optimisation traces coincide with per-instance cvar training at that
+alpha.
 
 On the per-instance partition every group has probability exactly 1/m,
 so the tail level (alpha, or 1 - k/m) is fixed once per run, and each

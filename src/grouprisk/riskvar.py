@@ -49,7 +49,7 @@ deviation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -208,19 +208,17 @@ class AggregatorSpec:
         atoms give -inf when they hold more than the level alpha (1 - k/n)
         by over ``PROB_TOL``, else they drop out of the tail.
         """
-        if self.kind == "expectation":
-            mean = _quiet_mean(values, probs)
-            if math.isfinite(mean):
-                return mean
-            return _mean_sd_extended(values, probs, None)
-        if self.kind == "sd_penalty":
+        if self.kind in ("expectation", "sd_penalty"):
+            lam = self.lam if self.kind == "sd_penalty" else None
             mean = _quiet_mean(values, probs)
             # an inf or NaN atom, even at zero probability, makes the mean
             # non-finite; the moments of such atoms warn
             if not math.isfinite(mean):
-                return _mean_sd_extended(values, probs, self.lam)
-            return mean + self.lam * _moments(values, probs, mean)[2]
-        _, v, p = _positive_atoms(values, probs)
+                return _mean_sd_extended(values, probs, lam)
+            if lam is None:
+                return mean
+            return mean + lam * _moments(values, probs, mean)[2]
+        v, p = _positive_atoms(values, probs)
         if self.kind == "max":
             return float(v.max())
         alpha = self._tail_level(p)
@@ -279,7 +277,7 @@ class AggregatorSpec:
                 return value, top / float(top.sum()), None
             return value, _sd_weights(values, probs, self.lam), None
         if equal is None:
-            _, v, p = _positive_atoms(values, probs)
+            v, p = _positive_atoms(values, probs)
             alpha = self._tail_level(p)
         else:
             v, p = values, probs
@@ -297,7 +295,7 @@ class AggregatorSpec:
 
 
 def _positive_atoms(values: np.ndarray, probs: np.ndarray):
-    """The mask of positive probabilities and the atoms it keeps.
+    """The atoms of positive probability.
 
     Raises ``ParameterError`` when it keeps none.  A boolean index beats
     ``compress`` on masks that keep nearly every atom, as this one does.
@@ -306,7 +304,7 @@ def _positive_atoms(values: np.ndarray, probs: np.ndarray):
     v = values[mask]
     if not v.size:
         raise ParameterError("no atom has positive probability")
-    return mask, v, probs[mask]
+    return v, probs[mask]
 
 
 def _quiet_mean(values: np.ndarray, probs: np.ndarray) -> float:
@@ -583,14 +581,7 @@ class FalsificationReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "measure": self.measure,
-            "trials": self.trials,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _tol(*xs) -> float:

@@ -68,7 +68,9 @@ class LossSpec:
 
     def grads(self, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Subgradient of the loss with respect to the score, elementwise."""
-        return self._values_grads(labels, scores)[1]
+        # the loss values computed alongside are dropped, with their warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._values_grads(labels, scores)[1]
 
     def _values_grads(self, labels, scores):
         """``_values_grads_into``'s step on a float copy of the broadcast

@@ -385,6 +385,68 @@ class TestAlphaSweep:
             alpha_sweep(config(AggregatorSpec.cvar(0.5)), ds, [0.5, 1.0])
 
 
+def _lp_optimum(ds, part, alpha):
+    """Least hinge-loss cvar_alpha of the group risks over linear models, by
+    the LP form of Rockafellar and Uryasev (2000); alpha None is the max.
+
+    Variables (w, b, xi, rho, u): xi_i >= 1 - y_i (x_i.w + b) and xi >= 0
+    are the hinge losses, and u_g >= R_g - rho with u >= 0 the excess of
+    group g's mean loss R_g; the objective is rho + E[u] / (1 - alpha), or
+    rho with u = 0 for the max.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    X, y, G = ds.features, ds.labels, part.group_ids
+    (m, d), n = X.shape, part.n
+    hinge = sparse.hstack([sparse.csr_matrix(-y[:, None] * X),
+                           sparse.csr_matrix(-y[:, None]), -sparse.identity(m),
+                           sparse.csr_matrix((m, 1 + n))])
+    means = sparse.csr_matrix((1.0 / part.sizes[G], (G, np.arange(m))),
+                              shape=(n, m))
+    excess = sparse.hstack([sparse.csr_matrix((n, d + 1)), means,
+                            sparse.csr_matrix(-np.ones((n, 1))),
+                            -sparse.identity(n)])
+    cost = np.zeros(d + m + 2 + n)
+    cost[d + 1 + m] = 1.0
+    if alpha is not None:
+        cost[d + 2 + m:] = part.probs / (1.0 - alpha)
+    bounds = ([(None, None)] * (d + 1) + [(0, None)] * m + [(None, None)]
+              + [(0, 0 if alpha is None else None)] * n)
+    res = linprog(cost, A_ub=sparse.vstack([hinge, excess]).tocsc(),
+                  b_ub=np.concatenate([-np.ones(m), np.zeros(n)]),
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestLpOracle:
+    """``train`` against the exact optimum of its problem as an LP: hinge
+    loss, no L2 term, 200 epochs on the standardised 400-row synth data.
+
+    The best objective can come no lower than the LP optimum (less the
+    solver's 1e-7 tolerance), and stays within each case's gap bound, set
+    at about 1.5 times the gap measured on this problem (cvar 1.7e-4, max
+    9.0e-5, top_k 6.2e-5 at k = 280 and 3.1e-5 at k = 360).  For k <= m/2
+    the zero model is optimal, so top_k takes k > m/2.
+    """
+
+    @pytest.mark.parametrize("agg, alpha, gap_bound", [
+        (AggregatorSpec.cvar(0.5), 0.5, 2.5e-4),
+        (AggregatorSpec.max_value(), None, 1.5e-4),
+        (AggregatorSpec.top_k(280), 1.0 - 280 / 400, 1e-4),
+        (AggregatorSpec.top_k(360), 1.0 - 360 / 400, 5e-5),
+    ], ids=["cvar_0.5", "max", "top_k_280", "top_k_360"])
+    def test_best_objective_near_the_lp_optimum(self, agg, alpha, gap_bound):
+        pytest.importorskip("scipy")
+        ds, _, _ = standardize(generate_synth(SynthSpec(seed=0)))
+        lp = _lp_optimum(ds, partition(ds, optim.training_partition_mode(
+            agg, "categorical")), alpha)
+        report = train(TrainConfig(agg, LossSpec("hinge"), l2_reg=0.0,
+                                   epochs=200), ds)
+        best = report.metrics["best_objective"]
+        assert lp - 1e-7 <= best <= lp + gap_bound, (lp, best)
+
+
 def _report_text(report) -> str:
     risks = report.final_subgroup_risks
     return repr((report.objective_trace.tobytes(),

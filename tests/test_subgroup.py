@@ -1,5 +1,7 @@
 """Unit tests for datasets, losses, partitions, and subgroup risks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,22 @@ class TestLosses:
             for i, pair in enumerate(got):
                 for a, b in zip(pair, expected):
                     assert a.tobytes() == b.tobytes(), (kind, i)
+
+    def test_grads_do_not_warn_for_the_values_they_drop(self):
+        # grads runs the one-pass step, which also forms the loss values; an
+        # overflow or NaN there is not the grads', which on these inputs are
+        # the closed forms' and need no warning of their own
+        y = np.array([1.0])
+        for kind, s, expected in (("squared_hinge", -1e300, -2e300),
+                                  ("logistic", np.nan, np.nan)):
+            s = np.array([s])
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = closed_form_loss(kind, y, s)[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = LossSpec(kind).grads(y, s)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.array([expected]).tobytes()
 
     def test_closed_forms_for_any_finite_label(self):
         # hypothesis is imported here, not at collection; see
